@@ -62,7 +62,7 @@ fn tour_ablation(scale: &repro::ExpScale) {
         let mut sim = SimSink::new(machine.hierarchy());
         let report = matmul::threaded(&mut data, config, &mut sim);
         sim.add_threads(report.threads);
-        let r = sim.finish();
+        let r = repro::experiments::checked(name, sim.finish());
         table.row(vec![
             name.into(),
             r.l2.misses().to_string(),
@@ -120,7 +120,7 @@ fn symmetric_ablation() {
         drop(sched);
         let mut sim = sim.into_inner();
         sim.add_threads(threads);
-        let r = sim.finish();
+        let r = repro::experiments::checked(name, sim.finish());
         table.row(vec![
             name.into(),
             bins.to_string(),
@@ -163,7 +163,7 @@ fn paging_ablation(scale: &repro::ExpScale) {
         let mut sim = SimSink::new(hierarchy);
         let report = sor::threaded(&mut data, scale.sor_t, config, &mut sim);
         sim.add_threads(report.threads);
-        let r = sim.finish();
+        let r = repro::experiments::checked(name, sim.finish());
         table.row(vec![
             name.into(),
             r.l2.misses().to_string(),
@@ -198,7 +198,7 @@ fn hint_dims_ablation(scale: &repro::ExpScale) {
         let mut sim = SimSink::new(machine.hierarchy());
         let report = nbody::threaded(&mut data, 1, params, config, &mut sim);
         sim.add_threads(report.threads);
-        let r = sim.finish();
+        let r = repro::experiments::checked(&format!("{dims}-D hints"), sim.finish());
         table.row(vec![
             format!("{dims}-D"),
             report.sched.map_or(0, |s| s.bins()).to_string(),

@@ -131,7 +131,7 @@ fn run_matmul(machine: &MachineModel, n: usize, threaded: bool) -> SimReport {
     } else {
         matmul::interchanged(&mut data, &mut sim);
     }
-    sim.finish()
+    repro::experiments::checked("modern matmul", sim.finish())
 }
 
 fn run_sor(machine: &MachineModel, scale: &repro::ExpScale, threaded: bool) -> SimReport {
@@ -148,5 +148,5 @@ fn run_sor(machine: &MachineModel, scale: &repro::ExpScale, threaded: bool) -> S
     } else {
         sor::untiled(&mut data, scale.sor_t, &mut sim);
     }
-    sim.finish()
+    repro::experiments::checked("modern sor", sim.finish())
 }

@@ -24,7 +24,7 @@ fn run(machine: &MachineModel, n: usize, threaded: bool) -> cachesim::SimReport 
     } else {
         matmul::interchanged(&mut data, &mut sim);
     }
-    sim.finish()
+    repro::experiments::checked("sensitivity matmul", sim.finish())
 }
 
 fn machine_with_l2(l2: CacheConfig) -> MachineModel {

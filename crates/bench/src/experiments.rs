@@ -97,9 +97,21 @@ pub fn drive<T>(work: impl FnOnce() -> T) -> T {
     work()
 }
 
-/// Runs one cell under the driver's probes.
+/// Returns `report` if it passes [`SimReport::check`]'s conservation
+/// laws, and panics naming `label` and the violated law otherwise, so
+/// every experiment checks its reports as it produces them.
+pub fn checked(label: &str, report: SimReport) -> SimReport {
+    if let Err(law) = report.check() {
+        panic!("{label}: simulation report violates a conservation law: {law}");
+    }
+    report
+}
+
+/// Runs one cell under the driver's probes and checks its report.
 fn timed_cell(cell: Cell) -> (String, SimReport) {
-    drive(cell)
+    let (name, report) = drive(cell);
+    let report = checked(&name, report);
+    (name, report)
 }
 
 /// Runs `cells` under `driver`, returning results in cell order.
@@ -1341,7 +1353,7 @@ pub fn figure4(scale: &ExpScale) -> Figure4Result {
                     .block_size(block)
                     .build()
                     .expect("power-of-two block");
-                let report = run(&machine, config);
+                let report = checked(name, run(&machine, config));
                 times.push(report.time_on(&machine).total());
             }
             series.push((name.to_owned(), times));

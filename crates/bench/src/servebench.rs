@@ -77,10 +77,14 @@ pub fn servebench_with(scale: &ExpScale, config: &ServeConfig) -> ServeBenchResu
     let trace = serve_trace(scale.serve_requests);
     let rows = ServePolicy::all()
         .into_iter()
-        .map(|policy| ServeBenchRow {
-            policy: policy.name(),
-            outcome: run_serve(TraceGen::new(trace), &machine, config, policy)
-                .expect("bench machines have separable caches"),
+        .map(|policy| {
+            let mut outcome = run_serve(TraceGen::new(trace), &machine, config, policy)
+                .expect("bench machines have separable caches");
+            outcome.sim = crate::experiments::checked(policy.name(), outcome.sim);
+            ServeBenchRow {
+                policy: policy.name(),
+                outcome,
+            }
         })
         .collect();
     ServeBenchResult {

@@ -207,6 +207,7 @@ fn bench<D>(
         slow_report, fast_report,
         "{name}: fast path diverged from the exhaustive reference"
     );
+    let fast_report = crate::experiments::checked(name, fast_report);
 
     // Sharded replay cell. Trace capture is setup, not measurement: run
     // the workload once into a buffer, then time draining that buffer

@@ -1,6 +1,7 @@
 //! One-pass compulsory/capacity/conflict miss classification.
 
 use crate::linehash::LineHashState;
+use crate::linetable::{LineTable, MAX_CAPACITY};
 use crate::lru::LruSet;
 use crate::CacheConfig;
 use std::collections::HashSet;
@@ -71,41 +72,81 @@ impl MissClassCounts {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MissClassifier {
-    seen: HashSet<u64, LineHashState>,
-    fully_assoc: LruSet,
+    model: Model,
+    /// Lines in the fully-associative capacity model.
+    capacity: usize,
     counts: MissClassCounts,
-    fast: bool,
+}
+
+/// The classifier's two interchangeable representations of the seen set
+/// and the fully-associative model.
+#[derive(Clone, Debug)]
+enum Model {
+    /// The fast path: one direct-indexed state per line answers both
+    /// "first touch?" and "FA hit?" with a single lookup.
+    Table(LineTable),
+    /// The exhaustive reference: a SipHash seen-set plus a slow-mode
+    /// LRU set.
+    Reference {
+        seen: HashSet<u64, LineHashState>,
+        fully_assoc: LruSet,
+    },
 }
 
 impl MissClassifier {
     /// Creates a classifier for a cache with geometry `config`, with
-    /// the fast lookup paths enabled.
+    /// the fast lookup path enabled.
     ///
     /// The capacity model is a fully-associative LRU cache with
     /// `config.lines()` lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has more lines than the fast path's per-line
+    /// state can encode (`u32::MAX - 1`).
     pub fn new(config: &CacheConfig) -> Self {
+        let lines = config.lines();
+        assert!(
+            lines <= MAX_CAPACITY,
+            "a {lines}-line cache exceeds the 3C classifier's limit of {MAX_CAPACITY} lines"
+        );
+        let capacity = lines as usize;
         MissClassifier {
-            seen: HashSet::with_hasher(LineHashState::for_fast(true)),
-            fully_assoc: LruSet::new(config.lines() as usize),
+            model: Model::Table(LineTable::new(capacity)),
+            capacity,
             counts: MissClassCounts::default(),
-            fast: true,
         }
     }
 
-    /// Switches the fast paths (one-multiply line hashing, front-of-list
-    /// LRU scan, and elision of provably redundant `seen` updates) on or
-    /// off. Classification is bit-identical in both modes; the slow mode
-    /// is the exhaustive reference.
+    /// Switches between the fast path (a direct-indexed line table) and
+    /// the exhaustive reference (a SipHash seen-set plus an LRU set),
+    /// carrying the seen lines and the fully-associative model's
+    /// contents, in recency order, across. Classification is
+    /// bit-identical in both modes.
     pub fn set_fast_path(&mut self, fast: bool) {
-        if self.fast == fast {
-            return;
-        }
-        self.fast = fast;
-        self.fully_assoc.set_fast(fast);
-        let mut seen =
-            HashSet::with_capacity_and_hasher(self.seen.capacity(), LineHashState::for_fast(fast));
-        seen.extend(self.seen.drain());
-        self.seen = seen;
+        self.model = match (&self.model, fast) {
+            (Model::Table(_), true) | (Model::Reference { .. }, false) => return,
+            (Model::Table(table), false) => {
+                let mut seen = HashSet::with_hasher(LineHashState::for_fast(false));
+                seen.extend(table.seen_lines());
+                let mut fully_assoc = LruSet::new(self.capacity);
+                fully_assoc.set_fast(false);
+                for line in table.resident_lru_to_mru() {
+                    fully_assoc.touch(line);
+                }
+                Model::Reference { seen, fully_assoc }
+            }
+            (Model::Reference { seen, fully_assoc }, true) => {
+                let mut table = LineTable::new(self.capacity);
+                for &line in seen {
+                    table.mark_seen(line);
+                }
+                for line in fully_assoc.lru_to_mru() {
+                    table.touch(line);
+                }
+                Model::Table(table)
+            }
+        };
     }
 
     /// Records a reference that *hit* in the classified cache.
@@ -113,39 +154,32 @@ impl MissClassifier {
     /// Keeps the capacity model's recency state in sync.
     #[inline]
     pub fn note_hit(&mut self, line: u64) {
-        let fa_hit = self.fully_assoc.touch(line);
-        // Every insertion into the FA model (here and in
-        // `classify_miss`) is paired with a `seen` insertion, so FA ⊆
-        // seen always: when the FA model already held the line, the
-        // `seen` update is a no-op the fast path elides.
-        if !(self.fast && fa_hit) {
-            self.seen.insert(line);
+        match &mut self.model {
+            Model::Table(table) => {
+                table.touch(line);
+            }
+            Model::Reference { seen, fully_assoc } => {
+                fully_assoc.touch(line);
+                seen.insert(line);
+            }
         }
     }
 
     /// Classifies a miss on `line` and updates the model state.
     #[inline]
     pub fn classify_miss(&mut self, line: u64) -> MissClass {
-        let class = if self.fast {
-            // FA ⊆ seen (see `note_hit`): an FA hit implies the line was
-            // seen before, so the first-touch probe is needed only on an
-            // FA miss — where `insert`'s return value answers it.
-            if self.fully_assoc.touch(line) {
-                MissClass::Conflict
-            } else if self.seen.insert(line) {
-                MissClass::Compulsory
-            } else {
-                MissClass::Capacity
-            }
-        } else {
-            let first_touch = self.seen.insert(line);
-            let fa_hit = self.fully_assoc.touch(line);
-            if first_touch {
-                MissClass::Compulsory
-            } else if !fa_hit {
-                MissClass::Capacity
-            } else {
-                MissClass::Conflict
+        let class = match &mut self.model {
+            Model::Table(table) => table.touch(line),
+            Model::Reference { seen, fully_assoc } => {
+                let first_touch = seen.insert(line);
+                let fa_hit = fully_assoc.touch(line);
+                if first_touch {
+                    MissClass::Compulsory
+                } else if !fa_hit {
+                    MissClass::Capacity
+                } else {
+                    MissClass::Conflict
+                }
             }
         };
         self.counts.record(class);
@@ -257,6 +291,64 @@ mod tests {
             }
         }
         assert_eq!(fast.counts(), slow.counts());
+    }
+
+    /// Drives one classifier whose fast path flips every `toggle_every`
+    /// references against an untoggled slow oracle, class by class,
+    /// over lines spread across several table pages.
+    fn check_toggling_against_slow(initial_fast: bool, toggle_every: usize) {
+        let mut toggled = classifier(32);
+        toggled.set_fast_path(initial_fast);
+        let mut oracle = classifier(32);
+        oracle.set_fast_path(false);
+        let mut fast = initial_fast;
+        let mut state = 0x9E37_79B9u64;
+        for step in 0..20_000usize {
+            if step.is_multiple_of(toggle_every) {
+                fast = !fast;
+                toggled.set_fast_path(fast);
+            }
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // 96 lines straddling a page boundary plus a far-away page.
+            let near = (state >> 33) % 96;
+            let line = if state >> 63 == 0 {
+                250 + near
+            } else {
+                u64::MAX - near
+            };
+            if state.is_multiple_of(3) {
+                toggled.note_hit(line);
+                oracle.note_hit(line);
+            } else {
+                assert_eq!(
+                    toggled.classify_miss(line),
+                    oracle.classify_miss(line),
+                    "step {step}"
+                );
+            }
+        }
+        assert_eq!(toggled.counts(), oracle.counts());
+        assert!(oracle.counts().capacity > 0 && oracle.counts().conflict > 0);
+    }
+
+    #[test]
+    fn toggling_fast_path_mid_stream_preserves_seen_lines_and_recency() {
+        // Both directions, at a period that lands toggles mid-eviction
+        // churn and another that lets the FA model fill in between.
+        for toggle_every in [7, 97, 1000] {
+            check_toggling_against_slow(true, toggle_every);
+            check_toggling_against_slow(false, toggle_every);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 3C classifier's limit")]
+    fn cache_with_more_lines_than_the_table_encodes_panics() {
+        // 2^32 lines of 32 bytes: one more line than u32 slot states hold.
+        let config = CacheConfig::new(32 << 32, 32, 1).unwrap();
+        let _ = MissClassifier::new(&config);
     }
 
     #[test]

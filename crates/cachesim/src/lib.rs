@@ -49,6 +49,7 @@ mod classify;
 mod config;
 mod hierarchy;
 mod linehash;
+mod linetable;
 mod lru;
 mod machine;
 mod paging;

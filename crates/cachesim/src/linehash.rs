@@ -1,14 +1,14 @@
-//! Runtime-selectable hashing for line-index keys.
+//! Runtime-selectable hashing for line- and page-index keys.
 //!
-//! The classifier's `seen` set and the LRU capacity model's index are
-//! the hottest hash structures in the simulator: they are consulted on
-//! every reference that reaches the classified level. The fast path
-//! hashes the (already well-mixed-by-multiplication) 64-bit line index
-//! with one multiply and a shift-xor; the slow path keeps the standard
-//! library's SipHash so it remains byte-for-byte the exhaustive
-//! reference implementation. The hash function never affects *what* a
-//! map or set contains, only where it stores it, so statistics are
-//! bit-identical across modes.
+//! Hashes the keys of the simulator's remaining hash structures: the
+//! TLB's [`LruSet`](crate::lru::LruSet) index, the page map of the
+//! classifier's [`LineTable`](crate::linetable::LineTable), and the
+//! classifier's slow-path seen-set and `LruSet`. The fast path hashes
+//! the 64-bit key with one multiply and a shift-xor; the slow path
+//! keeps the standard library's SipHash so it remains byte-for-byte the
+//! exhaustive reference implementation. The hash function never affects
+//! *what* a map or set contains, only where it stores it, so statistics
+//! are bit-identical across modes.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{BuildHasher, Hasher};

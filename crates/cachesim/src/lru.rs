@@ -1,12 +1,17 @@
-//! An O(1) bounded LRU set over `u64` keys.
+//! An O(1) bounded LRU set over `u64` keys, and the recency list it is
+//! built on.
 //!
-//! Backs the fully-associative capacity model of the 3C classifier,
-//! where the "set" holds tens of thousands of lines and a linear scan
-//! per reference would be prohibitive.
+//! [`LruSet`] backs the TLB's fully-associative entry set and the 3C
+//! classifier's exhaustive reference path (its fully-associative
+//! capacity model when the fast path is off). The classifier's fast path
+//! keeps the same model in a direct-indexed
+//! [`LineTable`](crate::linetable::LineTable) over the same
+//! [`RecencyList`].
 
 use crate::linehash::LineHashState;
 use std::collections::HashMap;
 
+/// The "no slot" link value; slots are therefore below `u32::MAX`.
 const NIL: u32 = u32::MAX;
 
 /// How many recency positions [`LruSet::touch`] scans (pointer-chasing
@@ -15,13 +20,131 @@ const NIL: u32 = u32::MAX;
 /// referenced is almost always within the first few positions.
 const FRONT_SCAN: u32 = 6;
 
-/// A fixed-capacity set of `u64` keys with least-recently-used eviction,
-/// O(1) per operation.
+/// A most- to least-recently-used order over keys held in slots
+/// `0..len()`.
 ///
-/// The recency list is stored structure-of-arrays: `keys`, `prev`, and
-/// `next` are parallel flat arrays indexed by slot. The fast-path front
-/// scan chases `next` pointers while comparing `keys`, touching two
-/// dense arrays instead of striding over 16-byte nodes.
+/// Stored structure-of-arrays: `keys`, `prev`, and `next` are parallel
+/// flat arrays indexed by slot, so a scan from the MRU end chases `next`
+/// while comparing `keys`, touching two dense arrays instead of
+/// striding over 16-byte nodes. Beyond that short scan, finding a key's
+/// slot is the owner's job.
+#[derive(Clone, Debug)]
+pub(crate) struct RecencyList {
+    keys: Vec<u64>,
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    head: u32,
+    tail: u32,
+}
+
+impl RecencyList {
+    /// An empty list with room for `capacity` slots before growing.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        RecencyList {
+            keys: Vec::with_capacity(capacity),
+            prev: Vec::with_capacity(capacity),
+            next: Vec::with_capacity(capacity),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    /// Number of slots.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The slot holding `key` among the `depth` most-recently-used
+    /// slots, found by chasing `next` from the MRU end.
+    #[inline]
+    pub(crate) fn find_near_front(&self, key: u64, depth: u32) -> Option<u32> {
+        let mut slot = self.head;
+        for _ in 0..depth {
+            if slot == NIL {
+                return None;
+            }
+            if self.keys[slot as usize] == key {
+                return Some(slot);
+            }
+            slot = self.next[slot as usize];
+        }
+        None
+    }
+
+    /// Puts `key` in a new slot at the MRU end and returns the slot.
+    pub(crate) fn push(&mut self, key: u64) -> u32 {
+        let slot = self.keys.len() as u32;
+        self.keys.push(key);
+        self.prev.push(NIL);
+        self.next.push(NIL);
+        self.push_front(slot);
+        slot
+    }
+
+    /// Replaces the least-recently-used key with `key` and makes its
+    /// slot most-recently used. Returns the slot and the replaced key.
+    ///
+    /// The list must not be empty.
+    #[inline]
+    pub(crate) fn recycle_lru(&mut self, key: u64) -> (u32, u64) {
+        let slot = self.tail;
+        let old = std::mem::replace(&mut self.keys[slot as usize], key);
+        self.move_to_front(slot);
+        (slot, old)
+    }
+
+    /// Makes `slot` the most-recently-used.
+    #[inline]
+    pub(crate) fn move_to_front(&mut self, slot: u32) {
+        if slot != self.head {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
+    }
+
+    /// The keys from least- to most-recently used.
+    pub(crate) fn lru_to_mru(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut slot = self.tail;
+        std::iter::from_fn(move || {
+            (slot != NIL).then(|| {
+                let key = self.keys[slot as usize];
+                slot = self.prev[slot as usize];
+                key
+            })
+        })
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let prev = self.prev[slot as usize];
+        let next = self.next[slot as usize];
+        if prev != NIL {
+            self.next[prev as usize] = next;
+        } else {
+            self.head = next;
+        }
+        if next != NIL {
+            self.prev[next as usize] = prev;
+        } else {
+            self.tail = prev;
+        }
+    }
+
+    fn push_front(&mut self, slot: u32) {
+        self.prev[slot as usize] = NIL;
+        self.next[slot as usize] = self.head;
+        if self.head != NIL {
+            self.prev[self.head as usize] = slot;
+        } else {
+            self.tail = slot;
+        }
+        self.head = slot;
+    }
+}
+
+/// A fixed-capacity set of `u64` keys with least-recently-used eviction,
+/// O(1) per operation: a [`RecencyList`] plus a hash index from key to
+/// slot.
 ///
 /// # Examples
 ///
@@ -35,12 +158,8 @@ const FRONT_SCAN: u32 = 6;
 /// ```
 #[derive(Clone, Debug)]
 pub(crate) struct LruSet {
-    keys: Vec<u64>,
-    prev: Vec<u32>,
-    next: Vec<u32>,
+    list: RecencyList,
     index: HashMap<u64, u32, LineHashState>,
-    head: u32,
-    tail: u32,
     capacity: usize,
     fast: bool,
 }
@@ -51,17 +170,18 @@ impl LruSet {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above `u32::MAX` (slots are
+    /// `u32` indices, and `u32::MAX` itself is the list terminator).
     pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be nonzero");
+        assert!(
+            capacity as u64 <= u64::from(NIL),
+            "LRU capacity {capacity} exceeds the limit of {NIL} keys"
+        );
         let prealloc = capacity.min(1 << 20);
         LruSet {
-            keys: Vec::with_capacity(prealloc),
-            prev: Vec::with_capacity(prealloc),
-            next: Vec::with_capacity(prealloc),
+            list: RecencyList::with_capacity(prealloc),
             index: HashMap::with_capacity_and_hasher(prealloc, LineHashState::for_fast(true)),
-            head: NIL,
-            tail: NIL,
             capacity,
             fast: true,
         }
@@ -93,47 +213,31 @@ impl LruSet {
     /// way `key` becomes most-recently-used.
     pub(crate) fn touch(&mut self, key: u64) -> bool {
         if self.fast {
-            // A key near the MRU end is found by chasing a few `next`
-            // pointers, with no hashing at all — and at position 0 the
-            // touch is a structural no-op.
-            let mut slot = self.head;
-            for depth in 0..FRONT_SCAN {
-                if slot == NIL {
-                    break;
-                }
-                if self.keys[slot as usize] == key {
-                    if depth > 0 {
-                        self.unlink(slot);
-                        self.push_front(slot);
-                    }
-                    return true;
-                }
-                slot = self.next[slot as usize];
+            // A key near the MRU end is found with no hashing at all —
+            // and at position 0 the touch is a structural no-op.
+            if let Some(slot) = self.list.find_near_front(key, FRONT_SCAN) {
+                self.list.move_to_front(slot);
+                return true;
             }
         }
         if let Some(&slot) = self.index.get(&key) {
-            self.unlink(slot);
-            self.push_front(slot);
+            self.list.move_to_front(slot);
             return true;
         }
-        let slot = if self.index.len() == self.capacity {
-            // Reuse the LRU slot.
-            let victim = self.tail;
-            self.unlink(victim);
-            let old_key = self.keys[victim as usize];
-            self.index.remove(&old_key);
-            self.keys[victim as usize] = key;
-            victim
-        } else {
-            let slot = self.keys.len() as u32;
-            self.keys.push(key);
-            self.prev.push(NIL);
-            self.next.push(NIL);
+        let slot = if self.list.len() == self.capacity {
+            let (slot, evicted) = self.list.recycle_lru(key);
+            self.index.remove(&evicted);
             slot
+        } else {
+            self.list.push(key)
         };
         self.index.insert(key, slot);
-        self.push_front(slot);
         false
+    }
+
+    /// The resident keys from least- to most-recently used.
+    pub(crate) fn lru_to_mru(&self) -> impl Iterator<Item = u64> + '_ {
+        self.list.lru_to_mru()
     }
 
     /// Returns `true` if `key` is resident, without updating recency.
@@ -141,35 +245,6 @@ impl LruSet {
     #[allow(dead_code)]
     pub(crate) fn contains(&self, key: u64) -> bool {
         self.index.contains_key(&key)
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let prev = self.prev[slot as usize];
-        let next = self.next[slot as usize];
-        if prev != NIL {
-            self.next[prev as usize] = next;
-        } else if self.head == slot {
-            self.head = next;
-        }
-        if next != NIL {
-            self.prev[next as usize] = prev;
-        } else if self.tail == slot {
-            self.tail = prev;
-        }
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = NIL;
-    }
-
-    fn push_front(&mut self, slot: u32) {
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
     }
 }
 
@@ -275,5 +350,11 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_capacity_panics() {
         let _ = LruSet::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the limit")]
+    fn capacity_colliding_with_the_list_terminator_panics() {
+        let _ = LruSet::new(u32::MAX as usize + 1);
     }
 }

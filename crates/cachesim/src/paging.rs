@@ -161,8 +161,8 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or `page_size` is not a power of
-    /// two.
+    /// Panics if `entries` is zero or above `u32::MAX`, or if
+    /// `page_size` is not a power of two.
     pub fn new(entries: usize, page_size: u64) -> Self {
         assert!(
             page_size.is_power_of_two(),

@@ -63,6 +63,71 @@ impl SimReport {
         }
     }
 
+    /// Checks the conservation laws every simulated report obeys, and
+    /// names the first one violated:
+    ///
+    /// * at every level, read (write) misses ≤ read (write) references;
+    /// * the 3C classes sum to the DRAM-facing level's misses, which
+    ///   equal the demand fetches that reached memory;
+    /// * the L2 sees exactly the L1's misses plus its write-backs — or,
+    ///   under a write-through no-allocate L1 (which never writes
+    ///   back), its read misses plus every write.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cachesim::{MachineModel, SimSink};
+    /// use memtrace::{Addr, TraceSink};
+    ///
+    /// let mut sim = SimSink::new(MachineModel::r8000().hierarchy());
+    /// sim.write(Addr::new(0x1000), 8);
+    /// let mut report = sim.finish();
+    /// assert_eq!(report.check(), Ok(()));
+    /// report.memory_reads += 1;
+    /// assert!(report.check().is_err());
+    /// ```
+    pub fn check(&self) -> Result<(), String> {
+        let levels = [
+            ("L1", Some(self.l1)),
+            ("L2", Some(self.l2)),
+            ("L3", self.l3),
+        ];
+        for (name, stats) in levels {
+            let Some(s) = stats else { continue };
+            if s.read_misses > s.reads || s.write_misses > s.writes {
+                return Err(format!(
+                    "{name} misses exceed its references (read misses {} of {} reads, write \
+                     misses {} of {} writes)",
+                    s.read_misses, s.reads, s.write_misses, s.writes
+                ));
+            }
+        }
+        let llc = self.llc_misses();
+        if self.classes.total() != llc {
+            return Err(format!(
+                "3C classes sum to {} but the DRAM-facing level missed {llc} times",
+                self.classes.total()
+            ));
+        }
+        if self.memory_reads != llc {
+            return Err(format!(
+                "{} memory reads but the DRAM-facing level missed {llc} times",
+                self.memory_reads
+            ));
+        }
+        let (l1, l2_refs) = (&self.l1, self.l2.references());
+        let write_back = l1.misses() + l1.writebacks;
+        let write_through = l1.read_misses + l1.writes;
+        if l2_refs != write_back && (l1.writebacks != 0 || l2_refs != write_through) {
+            return Err(format!(
+                "L2 saw {l2_refs} references but the L1 missed {} times and wrote back {}",
+                l1.misses(),
+                l1.writebacks
+            ));
+        }
+        Ok(())
+    }
+
     /// Models execution time on `machine` using the paper's crude model,
     /// charging per-thread overhead at the machine's Table 1 value.
     pub fn time_on(&self, machine: &MachineModel) -> TimeBreakdown {
@@ -158,6 +223,35 @@ mod tests {
         let with_threads = r.time_on(&machine).total();
         // 1M threads at 1.6 µs each = 1.6 s extra.
         assert!((with_threads - base - 1.6).abs() < 1e-6);
+    }
+
+    #[test]
+    fn check_accepts_a_consistent_report_and_names_each_broken_law() {
+        assert_eq!(report().check(), Ok(()));
+        assert_eq!(SimReport::default().check(), Ok(()));
+        type Corruption = fn(&mut SimReport);
+        let broken: [(Corruption, &str); 5] = [
+            (|r| r.l2.write_misses = r.l2.writes + 1, "L2 misses exceed"),
+            (
+                |r| {
+                    r.l3 = Some(CacheStats {
+                        reads: 1,
+                        read_misses: 2,
+                        ..CacheStats::default()
+                    });
+                },
+                "L3 misses exceed",
+            ),
+            (|r| r.classes.conflict += 1, "3C classes sum"),
+            (|r| r.memory_reads -= 1, "memory reads"),
+            (|r| r.l1.writebacks += 1, "L2 saw"),
+        ];
+        for (corrupt, law) in broken {
+            let mut r = report();
+            corrupt(&mut r);
+            let err = r.check().expect_err(law);
+            assert!(err.contains(law), "{err}");
+        }
     }
 
     #[test]

@@ -216,6 +216,49 @@ mod tests {
     }
 
     #[test]
+    fn reports_pass_their_conservation_check_on_every_hierarchy_shape() {
+        use crate::{
+            CacheConfig, Hierarchy, HierarchyConfig, Mmu, PageMapper, PagePolicy, WritePolicy,
+        };
+        let l1 = CacheConfig::new(1 << 10, 32, 1).unwrap();
+        let l2 = CacheConfig::new(1 << 13, 64, 2).unwrap();
+        let l3 = CacheConfig::new(1 << 15, 128, 4).unwrap();
+        let hierarchies = [
+            Hierarchy::new(HierarchyConfig::new(l1, l2)),
+            Hierarchy::new(HierarchyConfig::new(
+                l1.with_write_policy(WritePolicy::WriteThroughNoAllocate),
+                l2,
+            )),
+            Hierarchy::new(HierarchyConfig::new3(l1, l2, l3)),
+            Hierarchy::with_mmu(
+                HierarchyConfig::new(l1, l2),
+                Mmu::new(PageMapper::new(PagePolicy::RandomSeeded(3), 4096), 8),
+            ),
+        ];
+        for (shape, hierarchy) in hierarchies.into_iter().enumerate() {
+            let mut sim = SimSink::new(hierarchy);
+            let mut state = 0x5EEDu64;
+            for step in 0..20_000u64 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let addr = Addr::new((state >> 33) % (1 << 16));
+                if state.is_multiple_of(3) {
+                    sim.write(addr, 8);
+                } else {
+                    sim.read(addr, 8);
+                }
+                if step == 5_000 {
+                    sim.reset_stats();
+                }
+            }
+            let report = sim.finish();
+            assert!(report.l1.writebacks > 0 || shape == 1, "shape {shape}");
+            assert_eq!(report.check(), Ok(()), "shape {shape}");
+        }
+    }
+
+    #[test]
     fn add_threads_accumulates() {
         let mut sim = SimSink::new(MachineModel::r8000().hierarchy());
         sim.add_threads(100);

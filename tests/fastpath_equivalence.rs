@@ -1,7 +1,8 @@
 //! Differential testing of the fast simulation paths: with the fast
-//! lookups enabled (same-line rehits, MRU-first way probes, classifier
-//! shortcut, line-index hashing) every [`SimReport`] field must be
-//! *bit-identical* to the exhaustive reference path, on every workload,
+//! lookups enabled (same-line rehits, MRU-first way probes, the
+//! classifier's direct-indexed line table, the TLB's hashing) every
+//! [`SimReport`] field must be *bit-identical* to the exhaustive
+//! reference path, on every workload and on a serving-shaped stream,
 //! with and without an MMU attached, and regardless of how accesses are
 //! batched on their way into the sink. The reports are a pure function
 //! of the reference stream; the fast paths may only change how quickly
@@ -113,6 +114,79 @@ fn fast_equals_slow_with_mmu_attached() {
     assert_eq!(fast, slow);
     assert!(fast.tlb.accesses > 0, "the MMU must have been consulted");
     assert!(fast.tlb.misses > 0, "an 8-entry TLB must thrash here");
+}
+
+/// SplitMix64: scatters object ids over the slot space.
+fn splitmix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A serving-shaped reference stream: 32 KiB objects SplitMix-placed
+/// over 2^22 slots (a 128 GiB span), skewed popularity, requests that
+/// scan one object line by line, every fourth one rewriting it. Odd
+/// objects sit half a slot off, so their lines straddle the
+/// classifier's table pages; every 16th request also touches the top
+/// of the address space, with accesses that straddle lines there.
+fn serving_stream() -> Vec<Access> {
+    const OBJECT: u64 = 32 << 10;
+    let mut accesses = Vec::new();
+    let mut state = 0x5E4Eu64;
+    for request in 0..400u64 {
+        state = splitmix(state);
+        // Squaring a uniform draw skews popularity toward low ids.
+        let uniform = (state >> 40) as f64 / (1u64 << 24) as f64;
+        let object = (uniform * uniform * 96.0) as u64;
+        let base = (splitmix(object) % (1 << 22)) * OBJECT + (object % 2) * OBJECT / 2;
+        let write = request % 4 == 3;
+        for offset in (0..OBJECT).step_by(32) {
+            let addr = Addr::new(base + offset + (offset % 24));
+            accesses.push(if write {
+                Access::write(addr, 8)
+            } else {
+                Access::read(addr, 8)
+            });
+        }
+        // An access straddling an L1 line (and, at 16 KiB into an odd
+        // object, an L2 line and a table page).
+        accesses.push(Access::read(Addr::new(base + OBJECT / 2 - 8), 16));
+        if request % 16 == 0 {
+            for back in [1u64, 9, 40, 200, 5000] {
+                accesses.push(Access::write(Addr::new(u64::MAX - back), 16));
+                accesses.push(Access::read(Addr::new(u64::MAX - back * 128), 8));
+            }
+        }
+    }
+    accesses
+}
+
+#[test]
+fn serving_shaped_stream_fast_equals_slow() {
+    // The R8000's L1 over a 256 KiB L2: the stream's hot objects fit,
+    // its working set does not.
+    let config = HierarchyConfig::new(
+        CacheConfig::new(16 << 10, 32, 1).unwrap(),
+        CacheConfig::new(256 << 10, 128, 4).unwrap(),
+    );
+    let accesses = serving_stream();
+    let run = |fast: bool| {
+        let mut sim = SimSink::new(Hierarchy::new(config));
+        sim.set_fast_path(fast);
+        for chunk in accesses.chunks(1000) {
+            sim.access_batch(chunk);
+        }
+        sim.finish()
+    };
+    let (fast, slow) = (run(true), run(false));
+    assert_eq!(fast, slow);
+    assert_eq!(fast.check(), Ok(()));
+    let classes = fast.classes;
+    assert!(
+        classes.compulsory > 0 && classes.capacity > 0 && classes.conflict > 0,
+        "the stream must exercise every class: {classes:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
