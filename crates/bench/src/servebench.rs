@@ -71,8 +71,20 @@ pub fn servebench(scale: &ExpScale) -> ServeBenchResult {
     servebench_with(scale, &ServeConfig::default_bench())
 }
 
-/// [`servebench`] under explicit serving knobs.
+/// [`servebench`] under explicit serving knobs. Panics if any row's
+/// report breaks a serving conservation law ([`ServeReport::check`]).
+///
+/// [`ServeReport::check`]: serve::ServeReport::check
 pub fn servebench_with(scale: &ExpScale, config: &ServeConfig) -> ServeBenchResult {
+    let result = run_policies(scale, config);
+    if let Some(violation) = result.violations(config).first() {
+        panic!("serving report violates a conservation law: {violation}");
+    }
+    result
+}
+
+/// Streams the trace through every policy under `config`, unchecked.
+fn run_policies(scale: &ExpScale, config: &ServeConfig) -> ServeBenchResult {
     let machine = MachineModel::r8000();
     let trace = serve_trace(scale.serve_requests);
     let rows = ServePolicy::all()
@@ -119,33 +131,28 @@ pub fn servelong(scale: &ExpScale) -> (ServeBenchResult, Vec<String>) {
         },
         ..ServeConfig::default_bench()
     };
-    let result = servebench_with(scale, &config);
-    let mut violations = Vec::new();
-    for row in &result.rows {
-        let report = &row.outcome.report;
-        if report.peak_live_bin_records > SERVELONG_CAP {
-            violations.push(format!(
-                "{}: peak_live_bin_records {} exceeds cap {SERVELONG_CAP}",
-                row.policy, report.peak_live_bin_records
-            ));
-        }
-        if report.completed + report.shed != report.admitted {
-            violations.push(format!(
-                "{}: completed {} + shed {} != admitted {}",
-                row.policy, report.completed, report.shed, report.admitted
-            ));
-        }
-        if report.admitted + report.rejected != report.offered {
-            violations.push(format!(
-                "{}: admitted {} + rejected {} != offered {}",
-                row.policy, report.admitted, report.rejected, report.offered
-            ));
-        }
-    }
+    let result = run_policies(scale, &config);
+    let violations = result.violations(&config);
     (result, violations)
 }
 
 impl ServeBenchResult {
+    /// Each row's first broken serving conservation law, as
+    /// `"<policy>: <law>"`, under the bin-record cap `config` set.
+    fn violations(&self, config: &ServeConfig) -> Vec<String> {
+        let cap = match config.eviction {
+            EvictionPolicy::LruCap { max_records } => Some(max_records),
+            EvictionPolicy::Off | EvictionPolicy::IdleAge { .. } => None,
+        };
+        self.rows
+            .iter()
+            .filter_map(|row| {
+                let law = row.outcome.report.check(cap).err()?;
+                Some(format!("{}: {law}", row.policy))
+            })
+            .collect()
+    }
+
     /// The row for `policy`, if measured.
     pub fn row(&self, policy: &str) -> Option<&ServeBenchRow> {
         self.rows.iter().find(|r| r.policy == policy)
@@ -288,6 +295,40 @@ mod tests {
                 row.outcome.report.peak_live_bin_records
             );
         }
+    }
+
+    #[test]
+    fn violations_name_the_policy_and_the_law() {
+        let config = ServeConfig {
+            eviction: EvictionPolicy::LruCap { max_records: 1 },
+            ..ServeConfig::default_bench()
+        };
+        let mut result = run_policies(&tiny(), &config);
+        let violations = result.violations(&config);
+        assert!(
+            violations.contains(&format!(
+                "flat: peak_live_bin_records {} exceeds cap 1",
+                result
+                    .row("flat")
+                    .unwrap()
+                    .outcome
+                    .report
+                    .peak_live_bin_records
+            )),
+            "{violations:?}"
+        );
+        assert!(
+            !violations.iter().any(|v| v.starts_with("single_bin")),
+            "one bin fits a cap of one: {violations:?}"
+        );
+        // Under the default 8192-record cap only the corrupted row fails.
+        result.rows[0].outcome.report.shed += 1;
+        let violations = result.violations(&ServeConfig::default_bench());
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].starts_with("flat: completed"),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -129,15 +129,3 @@ fn scale_flags_select_presets() {
     let smoke = scale_from_args(vec!["x".to_owned(), "--smoke".to_owned()]);
     assert_eq!(smoke.matmul_n, ExpScale::smoke().matmul_n);
 }
-
-#[test]
-fn table1_thread_overhead_is_far_below_a_paper_l2_miss() {
-    // The package's economics on a modern host: forking+running a
-    // thread costs well under the paper's 1.06 µs L2 miss.
-    let result = repro::table1(50_000);
-    assert!(
-        result.total_ns() < 1060.0,
-        "thread overhead {} ns",
-        result.total_ns()
-    );
-}

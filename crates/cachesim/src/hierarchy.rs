@@ -148,14 +148,12 @@ pub struct Hierarchy {
     llc_log: Option<Vec<LlcEvent>>,
     memory_reads: u64,
     memory_writebacks: u64,
-    /// Modelled service latency (ns) of each reference that left the
-    /// L1 — a probe histogram, recorded only when penalties are set
-    /// (see [`set_probe_penalties`](Hierarchy::set_probe_penalties)).
-    miss_latency_ns: probe::Histogram,
-    /// Modelled ns to service an L1 miss that hits below (0 = unset).
-    probe_l1_miss_ns: u64,
-    /// Additional modelled ns when the DRAM-facing level also misses.
-    probe_llc_miss_ns: u64,
+    /// Below-L1 hits and DRAM-facing misses before the last
+    /// [`reset_stats`](Hierarchy::reset_stats) (the histogram keeps them).
+    latency_base: (u64, u64),
+    /// Modelled ns to service an L1 miss that hits below, and one that
+    /// misses the DRAM-facing level too ((0, 0) = unset).
+    probe_service_ns: (u64, u64),
 }
 
 impl Hierarchy {
@@ -178,9 +176,8 @@ impl Hierarchy {
             llc_log: None,
             memory_reads: 0,
             memory_writebacks: 0,
-            miss_latency_ns: probe::Histogram::new(),
-            probe_l1_miss_ns: 0,
-            probe_llc_miss_ns: 0,
+            latency_base: (0, 0),
+            probe_service_ns: (0, 0),
         }
     }
 
@@ -189,25 +186,11 @@ impl Hierarchy {
     /// reference serviced below the L1, plus `llc_miss_ns` more when
     /// the DRAM-facing level misses too. [`MachineModel::hierarchy`]
     /// (see `machine.rs`) derives both from the paper's Table 1
-    /// penalties. With both zero (the default) nothing is recorded.
+    /// penalties. With both zero (the default) none is built.
     ///
     /// [`MachineModel::hierarchy`]: crate::MachineModel::hierarchy
     pub fn set_probe_penalties(&mut self, l1_miss_ns: u64, llc_miss_ns: u64) {
-        self.probe_l1_miss_ns = l1_miss_ns;
-        self.probe_llc_miss_ns = llc_miss_ns;
-    }
-
-    /// Records the modelled latency of one reference that left the L1.
-    #[inline]
-    fn record_latency(&self, llc_hit: bool) {
-        if probe::enabled() && (self.probe_l1_miss_ns | self.probe_llc_miss_ns) != 0 {
-            let ns = if llc_hit {
-                self.probe_l1_miss_ns
-            } else {
-                self.probe_l1_miss_ns + self.probe_llc_miss_ns
-            };
-            self.miss_latency_ns.record(ns);
-        }
+        self.probe_service_ns = (l1_miss_ns, l1_miss_ns + llc_miss_ns);
     }
 
     /// Creates a hierarchy with virtual memory simulated: the TLB is
@@ -402,7 +385,6 @@ impl Hierarchy {
         // skipped (an L3 below makes the L2 stream unclassified and the
         // rehit always safe).
         if (self.l3.is_some() || self.llc_log.is_none()) && self.l2.try_rehit(l2_line, is_write) {
-            self.record_latency(true);
             return;
         }
         let outcome = self.l2.access_line(l2_line, is_write);
@@ -424,16 +406,13 @@ impl Hierarchy {
                     self.classifier.classify_miss(l2_line);
                     self.memory_reads += 1;
                 }
-                self.record_latency(outcome.hit);
                 if outcome.writeback.is_some() {
                     self.memory_writebacks += 1;
                 }
             }
             Some(_) => {
                 let ratio = self.l3_line_shift - self.l2_line_shift;
-                if outcome.hit {
-                    self.record_latency(true);
-                } else {
+                if !outcome.hit {
                     self.reference_l3(l2_line >> ratio, false);
                 }
                 if let Some(victim) = outcome.writeback {
@@ -451,7 +430,6 @@ impl Hierarchy {
         // Skipped under deferred classification for the same reason as
         // there (the L3 is always the DRAM-facing level).
         if self.llc_log.is_none() && l3.try_rehit(l3_line, is_write) {
-            self.record_latency(true);
             return;
         }
         let outcome = l3.access_line(l3_line, is_write);
@@ -469,7 +447,6 @@ impl Hierarchy {
             self.classifier.classify_miss(l3_line);
             self.memory_reads += 1;
         }
-        self.record_latency(outcome.hit);
         if outcome.writeback.is_some() {
             self.memory_writebacks += 1;
         }
@@ -518,11 +495,22 @@ impl Hierarchy {
         self.memory_writebacks
     }
 
+    /// Below-L1 hits and DRAM-facing misses since construction: the
+    /// two ways a reference that left the L1 is serviced.
+    fn latency_tallies(&self) -> (u64, u64) {
+        let (hits, misses) = self.latency_base;
+        let l3_hits = self.l3.as_ref().map_or(0, |l3| l3.stats().hits());
+        (
+            hits + self.l2.stats().hits() + l3_hits,
+            misses + self.llc_misses(),
+        )
+    }
+
     /// Flushes the hierarchy's probe observations into a profile:
     /// per-level hit/rehit/miss sections, the modelled miss-latency
-    /// histogram, and the 3C classifier's verdict counts. Cumulative
-    /// since construction; empty-ish when probes are compiled out
-    /// (callers gate embedding on [`probe::enabled`]).
+    /// histogram (derived from the counters), and the 3C classifier's
+    /// verdict counts. Cumulative since construction; empty-ish when
+    /// probes are compiled out (callers gate on [`probe::enabled`]).
     pub fn run_profile(&self) -> probe::RunProfile {
         let mut profile = probe::RunProfile::new();
         profile.push(self.l1d.probe_section("l1"));
@@ -530,9 +518,13 @@ impl Hierarchy {
         if let Some(l3) = &self.l3 {
             profile.push(l3.probe_section("l3"));
         }
-        let mut latency = probe::Section::new("latency");
-        latency.histogram("miss_service_ns", &self.miss_latency_ns);
-        profile.push(latency);
+        if self.probe_service_ns != (0, 0) {
+            let tallies = self.latency_tallies();
+            profile.push(crate::timing::miss_service_section(
+                self.probe_service_ns,
+                tallies,
+            ));
+        }
         let classes = self.classifier.counts();
         let mut verdicts = probe::Section::new("classifier");
         verdicts
@@ -547,6 +539,7 @@ impl Hierarchy {
     /// (excludes warm-up, as the paper's simulations exclude program
     /// initialization).
     pub fn reset_stats(&mut self) {
+        self.latency_base = self.latency_tallies();
         self.l1d.reset_stats();
         self.l2.reset_stats();
         if let Some(l3) = &mut self.l3 {
@@ -910,6 +903,231 @@ mod tests {
         assert_eq!(fast.classes(), slow.classes());
         assert_eq!(fast.memory_reads(), slow.memory_reads());
         assert_eq!(fast.memory_writebacks(), slow.memory_writebacks());
+    }
+
+    /// Modelled penalties the latency tests arm: an L1 miss the level
+    /// below serves, plus the extra trip to memory.
+    const L1_NS: u64 = 127;
+    const LLC_NS: u64 = 1920;
+
+    /// Below-L1 hits and DRAM-facing misses since the last reset.
+    fn serviced(h: &Hierarchy) -> (u64, u64) {
+        let l3_hits = h.l3_stats().map_or(0, CacheStats::hits);
+        (h.l2_stats().hits() + l3_hits, h.llc_misses())
+    }
+
+    /// Per-reference oracle for the `latency` section: after every
+    /// access it tallies, one value at a time, the modelled cost of
+    /// each below-L1 hit and each DRAM-facing miss that access caused.
+    #[derive(Default)]
+    struct LatencyTally {
+        tally: probe::HistogramSnapshot,
+        buckets: std::collections::BTreeMap<u64, u64>,
+        seen: (u64, u64),
+    }
+
+    impl LatencyTally {
+        fn record(&mut self, ns: u64) {
+            let t = &mut self.tally;
+            t.min = if t.count == 0 { ns } else { t.min.min(ns) };
+            t.max = t.max.max(ns);
+            t.count += 1;
+            t.sum += ns;
+            // The log₂ bucket holding `ns` ends one below a power of two.
+            *self
+                .buckets
+                .entry((ns + 1).next_power_of_two() - 1)
+                .or_insert(0) += 1;
+        }
+
+        fn access(&mut self, h: &mut Hierarchy, access: Access) {
+            h.access(access);
+            let now = serviced(h);
+            for _ in self.seen.0..now.0 {
+                self.record(L1_NS);
+            }
+            for _ in self.seen.1..now.1 {
+                self.record(L1_NS + LLC_NS);
+            }
+            self.seen = now;
+        }
+
+        fn reset_stats(&mut self, h: &mut Hierarchy) {
+            h.reset_stats();
+            self.seen = (0, 0);
+        }
+
+        /// The tally as the histogram the profile should carry (empty
+        /// when probes are compiled out).
+        fn expected(&self) -> probe::HistogramSnapshot {
+            if !probe::enabled() {
+                return probe::HistogramSnapshot::default();
+            }
+            probe::HistogramSnapshot {
+                buckets: self.buckets.iter().map(|(&upper, &n)| (upper, n)).collect(),
+                ..self.tally.clone()
+            }
+        }
+    }
+
+    /// The `miss_service_ns` histogram of `section` (empty if absent).
+    fn latency_of(profile: &probe::RunProfile, section: &str) -> probe::HistogramSnapshot {
+        profile
+            .sections()
+            .iter()
+            .filter(|s| s.name() == section)
+            .flat_map(probe::Section::metrics)
+            .find_map(|(name, metric)| match metric {
+                probe::Metric::Histogram(h) if name == "miss_service_ns" => Some(h.clone()),
+                _ => None,
+            })
+            .unwrap_or_default()
+    }
+
+    /// A seeded mix of reads and writes over `span` bytes.
+    fn random_stream(n: usize, seed: u64, span: u64) -> Vec<Access> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let addr = Addr::new((state >> 24) % span);
+                if state.is_multiple_of(3) {
+                    Access::write(addr, 8)
+                } else {
+                    Access::read(addr, 8)
+                }
+            })
+            .collect()
+    }
+
+    /// Drives `h` with a random stream, resetting its statistics
+    /// halfway, and checks the derived latency histogram against the
+    /// per-reference tally of the whole run.
+    fn assert_latency_matches_tally(mut h: Hierarchy, label: &str) {
+        h.set_probe_penalties(L1_NS, LLC_NS);
+        let mut tally = LatencyTally::default();
+        for (i, access) in random_stream(20_000, 5, 1 << 15).into_iter().enumerate() {
+            if i == 10_000 {
+                tally.reset_stats(&mut h);
+            }
+            tally.access(&mut h, access);
+        }
+        let derived = latency_of(&h.run_profile(), "latency");
+        assert_eq!(derived, tally.expected(), "{label}");
+        if probe::enabled() {
+            assert_eq!(
+                derived.buckets.len(),
+                2,
+                "{label}: hits and misses both seen"
+            );
+            assert!(
+                derived.count > serviced(&h).0 + serviced(&h).1,
+                "{label}: cumulative across the reset"
+            );
+        }
+    }
+
+    fn small_config() -> HierarchyConfig {
+        HierarchyConfig::new(
+            CacheConfig::new(256, 32, 1).unwrap(),
+            CacheConfig::new(2048, 64, 2).unwrap(),
+        )
+    }
+
+    #[test]
+    fn latency_histogram_is_derived_per_serviced_reference() {
+        let mut h = small_hierarchy();
+        h.set_probe_penalties(L1_NS, LLC_NS);
+        h.access(Access::read(Addr::new(0), 8)); // L2 miss
+        h.access(Access::read(Addr::new(256), 8)); // L1 conflict, L2 miss
+        h.access(Access::read(Addr::new(0), 8)); // L1 miss, L2 hit
+        let snap = latency_of(&h.run_profile(), "latency");
+        if probe::enabled() {
+            assert_eq!(snap.count, 3);
+            assert_eq!(snap.sum, L1_NS + 2 * (L1_NS + LLC_NS));
+            assert_eq!((snap.min, snap.max), (L1_NS, L1_NS + LLC_NS));
+            assert_eq!(snap.buckets, vec![(127, 1), (2047, 2)]);
+        } else {
+            assert_eq!(snap, probe::HistogramSnapshot::default());
+        }
+    }
+
+    #[test]
+    fn latency_section_needs_penalties() {
+        let mut h = small_hierarchy();
+        h.access(Access::read(Addr::new(0), 8));
+        let profile = h.run_profile();
+        assert!(profile.sections().iter().all(|s| s.name() != "latency"));
+    }
+
+    #[test]
+    fn latency_matches_tally_on_two_levels() {
+        assert_latency_matches_tally(Hierarchy::new(small_config()), "two-level");
+    }
+
+    #[test]
+    fn latency_matches_tally_on_three_levels() {
+        let config = HierarchyConfig::new3(
+            CacheConfig::new(256, 32, 1).unwrap(),
+            CacheConfig::new(1024, 64, 2).unwrap(),
+            CacheConfig::new(8192, 64, 4).unwrap(),
+        );
+        assert_latency_matches_tally(Hierarchy::new(config), "three-level");
+    }
+
+    #[test]
+    fn latency_matches_tally_with_an_mmu() {
+        use crate::paging::{PageMapper, PagePolicy};
+        let mmu = Mmu::new(PageMapper::new(PagePolicy::RandomSeeded(3), 4096), 8);
+        assert_latency_matches_tally(Hierarchy::with_mmu(small_config(), mmu), "mmu");
+    }
+
+    #[test]
+    fn latency_matches_tally_with_a_write_through_l1() {
+        use crate::WritePolicy;
+        let config = HierarchyConfig::new(
+            CacheConfig::new(256, 32, 1)
+                .unwrap()
+                .with_write_policy(WritePolicy::WriteThroughNoAllocate),
+            CacheConfig::new(2048, 64, 2).unwrap(),
+        );
+        assert_latency_matches_tally(Hierarchy::new(config), "write-through");
+    }
+
+    #[test]
+    fn sharded_latency_sections_sum_to_the_serial_tally() {
+        use crate::ShardedSimSink;
+        use memtrace::TraceSink;
+        let machine = crate::MachineModel::r8000()
+            .scaled(1.0 / 16.0)
+            .expect("valid scaled machine");
+        let mut serial = machine.hierarchy();
+        serial.set_probe_penalties(L1_NS, LLC_NS);
+        let mut sharded = ShardedSimSink::new(serial.clone(), 4);
+        let shards = sharded.plan().shards();
+        assert!(shards >= 2, "the stream must be partitioned");
+        let mut tally = LatencyTally::default();
+        for access in random_stream(40_000, 11, 1 << 22) {
+            tally.access(&mut serial, access);
+            sharded.access(access);
+        }
+        sharded.report();
+        let profile = sharded.run_profile();
+        let mut merged = LatencyTally::default();
+        for i in 0..shards {
+            let shard = latency_of(&profile, &format!("shard{i}.latency"));
+            if probe::enabled() {
+                assert!(shard.count > 0, "shard {i} serviced references");
+            }
+            for (upper, n) in shard.buckets {
+                // Every value in a bucket is its one modelled cost.
+                let ns = if upper == 127 { L1_NS } else { L1_NS + LLC_NS };
+                for _ in 0..n {
+                    merged.record(ns);
+                }
+            }
+        }
+        assert_eq!(merged.expected(), tally.expected());
     }
 
     #[test]

@@ -71,7 +71,9 @@ impl SimReport {
     ///   equal the demand fetches that reached memory;
     /// * the L2 sees exactly the L1's misses plus its write-backs — or,
     ///   under a write-through no-allocate L1 (which never writes
-    ///   back), its read misses plus every write.
+    ///   back), its read misses plus every write;
+    /// * an L3, when present, sees exactly the L2's misses plus its
+    ///   write-backs.
     ///
     /// # Examples
     ///
@@ -125,7 +127,16 @@ impl SimReport {
                 l1.writebacks
             ));
         }
-        Ok(())
+        let l2 = &self.l2;
+        match self.l3 {
+            Some(l3) if l3.references() != l2.misses() + l2.writebacks => Err(format!(
+                "L3 saw {} references but the L2 missed {} times and wrote back {}",
+                l3.references(),
+                l2.misses(),
+                l2.writebacks
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Models execution time on `machine` using the paper's crude model,
@@ -252,6 +263,40 @@ mod tests {
             let err = r.check().expect_err(law);
             assert!(err.contains(law), "{err}");
         }
+    }
+
+    #[test]
+    fn check_links_the_l3_to_the_l2_misses_and_write_backs() {
+        use crate::{CacheConfig, Hierarchy, HierarchyConfig, SimSink};
+        use memtrace::{Addr, TraceSink};
+        let mut sim = SimSink::new(Hierarchy::new(HierarchyConfig::new3(
+            CacheConfig::new(256, 32, 1).unwrap(),
+            CacheConfig::new(1024, 64, 2).unwrap(),
+            CacheConfig::new(8192, 64, 4).unwrap(),
+        )));
+        let mut state = 3u64;
+        for _ in 0..20_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let addr = Addr::new((state >> 24) % (1 << 15));
+            if state.is_multiple_of(3) {
+                sim.write(addr, 8);
+            } else {
+                sim.read(addr, 8);
+            }
+        }
+        let report = sim.finish();
+        let l3 = report.l3.expect("three levels");
+        assert!(report.l2.writebacks > 0, "the L2 wrote back to the L3");
+        assert_eq!(l3.references(), report.l2.misses() + report.l2.writebacks);
+        assert_eq!(report.check(), Ok(()));
+        let mut corrupted = report;
+        corrupted.l3 = Some(CacheStats {
+            reads: l3.reads + 1,
+            ..l3
+        });
+        let err = corrupted.check().expect_err("L3 count off by one");
+        assert!(err.contains("L3 saw"), "{err}");
+        assert!(err.contains("wrote back"), "{err}");
     }
 
     #[test]

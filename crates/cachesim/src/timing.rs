@@ -26,6 +26,17 @@ pub struct TimingModel {
     l2_miss_penalty_ns: f64,
 }
 
+/// The probe `latency` section: `counts.0` references serviced at
+/// `costs_ns.0` each and `counts.1` at `costs_ns.1` (see `Hierarchy`).
+pub(crate) fn miss_service_section(costs_ns: (u64, u64), counts: (u64, u64)) -> probe::Section {
+    let histogram = probe::Histogram::new();
+    histogram.record_n(costs_ns.0, counts.0);
+    histogram.record_n(costs_ns.1, counts.1);
+    let mut section = probe::Section::new("latency");
+    section.histogram("miss_service_ns", &histogram);
+    section
+}
+
 /// Estimated execution time, broken down by component.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TimeBreakdown {

@@ -10,7 +10,9 @@
 //!   paths that hold `&mut self` anyway.
 //! * [`Histogram`] — a log₂-bucketed value distribution with count /
 //!   sum / min / max and approximate percentiles, mergeable across
-//!   threads.
+//!   threads. Each `record` is five atomic read-modify-writes, so
+//!   per-reference paths tally in a `LocalCounter` or derive values
+//!   at flush ([`Histogram::record_n`]) instead (DESIGN.md §8).
 //! * [`Histogram::span`] — a scoped timer guard that records elapsed
 //!   nanoseconds into a histogram on drop.
 //!

@@ -67,6 +67,43 @@ impl ServeReport {
             100.0 * self.warm_hits as f64 / self.completed as f64
         }
     }
+
+    /// Checks the conservation laws every finished serving run obeys,
+    /// and names the first one violated:
+    ///
+    /// * every offered request was admitted or rejected;
+    /// * every admitted request completed or was shed (the run ends
+    ///   drained);
+    /// * every completed request was a warm hit or a cold miss;
+    /// * with `cap` set (the run's `LruCap` bound), the bin table never
+    ///   held more live records than that.
+    pub fn check(&self, cap: Option<u64>) -> Result<(), String> {
+        if self.admitted + self.rejected != self.offered {
+            return Err(format!(
+                "admitted {} + rejected {} != offered {}",
+                self.admitted, self.rejected, self.offered
+            ));
+        }
+        if self.completed + self.shed != self.admitted {
+            return Err(format!(
+                "completed {} + shed {} != admitted {}",
+                self.completed, self.shed, self.admitted
+            ));
+        }
+        if self.warm_hits + self.cold_misses != self.completed {
+            return Err(format!(
+                "warm hits {} + cold misses {} != completed {}",
+                self.warm_hits, self.cold_misses, self.completed
+            ));
+        }
+        match cap {
+            Some(cap) if self.peak_live_bin_records > cap => Err(format!(
+                "peak_live_bin_records {} exceeds cap {cap}",
+                self.peak_live_bin_records
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice; zero when
@@ -95,9 +132,8 @@ mod tests {
         assert_eq!(percentile(&[7], 99), 7);
     }
 
-    #[test]
-    fn warm_rate_handles_empty() {
-        let mut report = ServeReport {
+    fn empty_report() -> ServeReport {
+        ServeReport {
             policy: "flat",
             lanes: 1,
             offered: 0,
@@ -118,10 +154,49 @@ mod tests {
             evictions: 0,
             peak_live_bin_records: 0,
             wasted_memory_time: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn warm_rate_handles_empty() {
+        let mut report = empty_report();
         assert_eq!(report.warm_hit_rate_pct(), 0.0);
         report.completed = 4;
         report.warm_hits = 3;
         assert!((report.warm_hit_rate_pct() - 75.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn check_accepts_a_balanced_report_and_names_each_broken_law() {
+        let report = ServeReport {
+            offered: 100,
+            admitted: 90,
+            rejected: 10,
+            shed: 5,
+            completed: 85,
+            warm_hits: 60,
+            cold_misses: 25,
+            peak_live_bin_records: 40,
+            ..empty_report()
+        };
+        assert_eq!(report.check(None), Ok(()));
+        assert_eq!(report.check(Some(40)), Ok(()));
+        assert_eq!(empty_report().check(Some(1)), Ok(()));
+        type Corruption = fn(&mut ServeReport);
+        let broken: [(Corruption, &str); 4] = [
+            (|r| r.rejected += 1, "!= offered"),
+            (|r| r.shed -= 1, "!= admitted"),
+            (|r| r.cold_misses += 1, "!= completed"),
+            (|r| r.peak_live_bin_records += 1, "exceeds cap 40"),
+        ];
+        for (corrupt, law) in broken {
+            let mut r = report;
+            corrupt(&mut r);
+            let err = r.check(Some(40)).expect_err(law);
+            assert!(err.contains(law), "{err}");
+        }
+        let mut uncapped = report;
+        uncapped.peak_live_bin_records = u64::MAX;
+        assert_eq!(uncapped.check(None), Ok(()), "no cap, no bound");
     }
 }
