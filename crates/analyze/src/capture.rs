@@ -12,9 +12,7 @@
 
 use crate::policies::{dispatch_order, paper_policy};
 use cachesim::MachineModel;
-use locality_sched::{
-    Hierarchical, Hints, SchedulerConfig, TopologyPolicy, MAX_DIMS, PACKAGE_TRACE_BASE,
-};
+use locality_sched::{Hints, SchedulerConfig, TopologyPolicy, MAX_DIMS, PACKAGE_TRACE_BASE};
 use memtrace::{Addr, AddressSpace, FootprintSink, PhaseTrace, ThreadFootprint};
 use workloads::{matmul, nbody, pde, sor, BinGeometry, HintKind, Kernel, OrderSemantics};
 
@@ -149,9 +147,9 @@ pub struct Capture {
     /// The scheduler config the capture ran under (block sizes define
     /// the hint regions; also the mirror-replay config).
     pub config: SchedulerConfig,
-    /// Hierarchical (L1-in-L2) policy to check, when the geometry
-    /// supports one.
-    pub hierarchical: Option<Hierarchical>,
+    /// Hierarchical (L1-in-L2) policy to check — the two-rung
+    /// topology ladder — when the geometry supports one.
+    pub hierarchical: Option<TopologyPolicy>,
     /// Full-depth topology policy, when the geometry supports one.
     /// Drives the cross-node sharing lint (which only engages at
     /// depth ≥ 3, where the coarsest level is a node, not a cache).

@@ -9,9 +9,7 @@
 
 use crate::capture::{Capture, DrainConcurrency, PhaseModel};
 use cachesim::MachineModel;
-use locality_sched::{
-    Hierarchical, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, TopologyPolicy,
-};
+use locality_sched::{Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, TopologyPolicy};
 use memtrace::{Addr, FootprintSink, TraceSink};
 use workloads::{HintKind, OrderSemantics};
 
@@ -242,7 +240,7 @@ fn capture_plan(name: &str, plan: Vec<Vec<Op>>, hints: Vec<Hints>) -> Capture {
         semantics: OrderSemantics::Exact,
         hint_kind: HintKind::Address,
         config,
-        hierarchical: Hierarchical::uniform(SUB_BLOCK, BLOCK, false).ok(),
+        hierarchical: TopologyPolicy::uniform(&[SUB_BLOCK, BLOCK], false).ok(),
         topology: None,
         machine: MachineModel::r8000(),
         concurrency: DrainConcurrency::Serial,

@@ -218,10 +218,6 @@ pub enum ObligationKind {
     /// The pair must be ordered *some* way (`a ⇒ b` or `b ⇒ a`): the
     /// data-race lint for conflicting pairs.
     ConflictOrder,
-    /// An explicit dependency edge `a ⇒ b` from a task DAG
-    /// (forward-looking: futures/continuation scheduling plugs its
-    /// edges in here without an analyzer rewrite).
-    DagEdge,
 }
 
 /// One ordering demand between two thread bodies, checkable against
@@ -240,9 +236,7 @@ impl OrderObligation {
     /// Checks the obligation against `index`.
     pub fn satisfied(&self, index: &HbIndex) -> bool {
         match self.kind {
-            ObligationKind::ForkOrder | ObligationKind::DagEdge => {
-                index.happens_before(self.a, self.b)
-            }
+            ObligationKind::ForkOrder => index.happens_before(self.a, self.b),
             ObligationKind::ConflictOrder => index.ordered(self.a, self.b),
         }
     }
@@ -662,12 +656,6 @@ mod tests {
             b: 1,
         };
         assert!(conflict.satisfied(&index), "still ordered, just reversed");
-        let dag = OrderObligation {
-            kind: ObligationKind::DagEdge,
-            a: 1,
-            b: 0,
-        };
-        assert!(dag.satisfied(&index));
     }
 
     #[test]

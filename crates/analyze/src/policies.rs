@@ -22,7 +22,8 @@ pub enum PolicyKind {
     /// [`PaperBlockHash`] derived from the capture's config (the
     /// paper's flat L2 policy, the default everywhere).
     Paper,
-    /// [`Hierarchical`](locality_sched::Hierarchical) L1-in-L2 nesting
+    /// L1-in-L2 nesting: a two-rung
+    /// [`TopologyPolicy`](locality_sched::TopologyPolicy) ladder
     /// (skipped when the capture provides no hierarchical geometry).
     Hierarchical,
     /// [`SingleBin`] — FIFO order, the paper's "touch" baseline.
@@ -296,8 +297,8 @@ mod tests {
 
     #[test]
     fn hierarchical_assignment_has_two_levels() {
-        use locality_sched::Hierarchical;
-        let policy = Hierarchical::uniform(1024, 4096, false).unwrap();
+        use locality_sched::TopologyPolicy;
+        let policy = TopologyPolicy::uniform(&[1024, 4096], false).unwrap();
         let hints = vec![
             Hints::one(Addr::new(0x0)),
             Hints::one(Addr::new(0x400)), // same parent, different sub-bin

@@ -2,7 +2,7 @@
 //! counterpart of Table 1's micro-benchmark.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use locality_sched::{FifoScheduler, Hints, RunMode, Scheduler, SchedulerConfig, ThreadScheduler};
+use locality_sched::{Hints, RunMode, Scheduler, SchedulerConfig, SingleBin};
 
 fn null_thread(_ctx: &mut (), _a: usize, _b: usize) {}
 
@@ -34,10 +34,10 @@ fn bench_fork(c: &mut Criterion) {
 
     group.bench_function("fifo-baseline", |b| {
         b.iter_batched(
-            FifoScheduler::<()>::new,
+            || Scheduler::<(), SingleBin>::with_policy(SchedulerConfig::default(), SingleBin),
             |mut sched| {
                 for i in 0..THREADS {
-                    ThreadScheduler::fork(&mut sched, null_thread, i as usize, 0, uniform_hints(i));
+                    sched.fork(null_thread, i as usize, 0, uniform_hints(i));
                 }
                 sched
             },

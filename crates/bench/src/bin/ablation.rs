@@ -12,11 +12,10 @@
 //! Flags: `--full`, `--smoke` (problem scale, as for the tables).
 
 use cachesim::{MachineModel, PagePolicy, SimSink};
-use locality_sched::{ClosureScheduler, Hints, SchedulerConfig, Tour};
+use locality_sched::{Hints, RunMode, Scheduler, SchedulerConfig, Tour};
 use memtrace::{AddressSpace, MatrixLayout, TraceSink, TracedMatrix};
 use repro::fmt::TextTable;
 use repro::scale::scale_from_args;
-use std::cell::RefCell;
 use workloads::{matmul, nbody, sor};
 
 fn main() {
@@ -32,11 +31,7 @@ fn steal_policy_ablation(scale: &repro::ExpScale) {
     println!("\nAblation 5: SMP steal policy (windowed-sum workload, host wall-clock)\n");
     let result = repro::experiments::steal(scale);
     repro::print::steal(&result);
-    let path = "BENCH_steal.json";
-    match std::fs::write(path, result.to_json()) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
-    }
+    repro::cli::write_json("BENCH_steal.json", result.to_json());
 }
 
 fn tour_ablation(scale: &repro::ExpScale) {
@@ -74,6 +69,25 @@ fn tour_ablation(scale: &repro::ExpScale) {
     println!("\nIntra-bin locality dominates; space-filling tours shave the\ninter-bin block reloads; random pays one extra block reload per bin.\n");
 }
 
+/// The pairwise kernel's context: the shared matrix and the simulator
+/// its reads feed.
+struct PairCtx<'a> {
+    m: &'a TracedMatrix,
+    sim: SimSink,
+}
+
+/// Thread (i, j) of the pairwise kernel: the dot product of columns i
+/// and j.
+fn pair(ctx: &mut PairCtx<'_>, i: usize, j: usize) {
+    let m = ctx.m;
+    let mut acc = 0.0;
+    for k in 0..m.rows() {
+        acc += m.get(k, i, &mut ctx.sim) * m.get(k, j, &mut ctx.sim);
+    }
+    ctx.sim.instructions(4 * m.rows() as u64);
+    std::hint::black_box(acc);
+}
+
 /// A pairwise-interaction kernel where both hint orders occur: task
 /// (i, j) reads columns i and j of the same matrix, forked for all
 /// ordered pairs — the situation §2.3's symmetric folding targets.
@@ -89,36 +103,27 @@ fn symmetric_ablation() {
         let m = TracedMatrix::from_fn(&mut space, n, n, MatrixLayout::ColMajor, |i, j| {
             (i + j) as f64
         });
-        let sim = RefCell::new(SimSink::new(machine.hierarchy()));
         let config = SchedulerConfig::builder()
             .block_size(machine.l2_config().size() / 2)
             .symmetric(symmetric)
             .build()
             .expect("valid config");
-        let mut sched = ClosureScheduler::new(config);
+        let mut sched = Scheduler::new(config);
         for i in 0..n {
             for j in 0..n {
-                if i == j {
-                    continue;
+                if i != j {
+                    sched.fork(pair, i, j, Hints::two(m.col_addr(i), m.col_addr(j)));
                 }
-                let m = &m;
-                let sim = &sim;
-                sched.fork(Hints::two(m.col_addr(i), m.col_addr(j)), move || {
-                    let mut sink = sim.borrow_mut();
-                    let mut acc = 0.0;
-                    for k in 0..m.rows() {
-                        acc += m.get(k, i, &mut *sink) * m.get(k, j, &mut *sink);
-                    }
-                    sink.instructions(4 * m.rows() as u64);
-                    std::hint::black_box(acc);
-                });
             }
         }
         let bins = sched.bins();
         let threads = sched.pending();
-        sched.run();
-        drop(sched);
-        let mut sim = sim.into_inner();
+        let mut ctx = PairCtx {
+            m: &m,
+            sim: SimSink::new(machine.hierarchy()),
+        };
+        sched.run(&mut ctx, RunMode::Consume);
+        let mut sim = ctx.sim;
         sim.add_threads(threads);
         let r = repro::experiments::checked(name, sim.finish());
         table.row(vec![

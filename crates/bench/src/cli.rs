@@ -3,18 +3,112 @@
 use crate::scale::scale_from_args;
 use crate::{paper, print};
 
+/// Every experiment name [`run_at`] knows, in the order [`all`] runs the
+/// ones it includes.
+pub const EXPERIMENTS: [&str; 16] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "table9",
+    "figure4",
+    "steal",
+    "simbench",
+    "topology",
+    "servebench",
+    "servelong",
+    "analyze",
+];
+
+/// The experiments `all` (or no name at all) runs: every one but the
+/// long-run `servelong` gate and `analyze` (which `--analyze` adds).
+pub fn all() -> Vec<String> {
+    EXPERIMENTS
+        .iter()
+        .filter(|&&name| name != "servelong" && name != "analyze")
+        .map(|&name| name.to_owned())
+        .collect()
+}
+
+/// The valid names and flags, printed when an argument is rejected.
+pub fn usage() -> String {
+    format!(
+        "valid experiments: {}, all\nvalid flags: --full, --smoke, --analyze, --shards N",
+        EXPERIMENTS.join(", ")
+    )
+}
+
+/// Checks every argument against the known experiment names and flags
+/// and returns the experiment names in order. `--shards` must be
+/// followed by (or joined with `=` to) a shard count.
+///
+/// # Errors
+///
+/// Returns a message naming the first unknown name, unknown flag, or
+/// missing shard count.
+pub fn parse_args(args: &[String]) -> Result<Vec<String>, String> {
+    let mut names = Vec::new();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--full" | "--smoke" | "--analyze" => {}
+            "--shards" => match iter.next().map(|n| n.parse::<u32>()) {
+                Some(Ok(_)) => {}
+                _ => return Err("--shards needs a count".to_owned()),
+            },
+            flag if flag.starts_with("--shards=") => {
+                if flag["--shards=".len()..].parse::<u32>().is_err() {
+                    return Err("--shards needs a count".to_owned());
+                }
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag: {flag}")),
+            name if name == "all" || EXPERIMENTS.contains(&name) => names.push(name.to_owned()),
+            name => return Err(format!("unknown experiment: {name}")),
+        }
+    }
+    Ok(names)
+}
+
+/// [`parse_args`], or — on a mismatch — the error and [`usage`] on
+/// stderr and exit status 2, so a mistyped name or flag runs nothing.
+pub fn names_or_exit(args: &[String]) -> Vec<String> {
+    parse_args(args).unwrap_or_else(|err| {
+        eprintln!("{err}\n{}", usage());
+        std::process::exit(2);
+    })
+}
+
+/// Writes an experiment's JSON payload to `path`, exiting non-zero if
+/// the write fails: a run whose artifact is missing must not pass.
+pub fn write_json(path: &str, json: String) {
+    if let Err(err) = std::fs::write(path, json) {
+        eprintln!("could not write {path}: {err}");
+        std::process::exit(1);
+    }
+    println!("\nwrote {path}");
+}
+
 /// Runs one named experiment at the scale selected by the process's
 /// command-line flags (`--full`, `--smoke`, default scaled; `simbench`
-/// additionally honours `--shards N`).
+/// additionally honours `--shards N`). Exits with status 2, running
+/// nothing, if any argument is an unknown flag or an experiment name.
 ///
-/// Recognised names: `table1` … `table9`, `figure4`, `steal`,
-/// `simbench`, `binpolicy`, `topology`, `servebench` (those five also
-/// write their `BENCH_*.json` payloads), `servelong` (the long-run bounded-memory
-/// gate — exits nonzero if the bin table ever exceeded its cap), and
-/// `analyze` (the `schedlint` four-kernel self-check, writing
-/// `ANALYZE_smoke.json`).
+/// Recognised experiments are [`EXPERIMENTS`]: `table1` … `table9`,
+/// `figure4`, `steal`, `simbench`, `topology`, `servebench` (those last
+/// four also write their `BENCH_*.json` payloads), `servelong` (the
+/// long-run bounded-memory gate — exits nonzero if the bin table ever
+/// exceeded its cap), and `analyze` (the `schedlint` four-kernel
+/// self-check, writing `ANALYZE_smoke.json`).
 pub fn run(experiment: &str) {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(name) = names_or_exit(&args).first() {
+        eprintln!("unexpected experiment name: {name}\nthis binary only runs {experiment}");
+        std::process::exit(2);
+    }
     let scale = scale_from_args(args);
     run_at(experiment, &scale);
 }
@@ -92,38 +186,17 @@ pub fn run_at(experiment: &str, scale: &crate::ExpScale) {
             );
             let result = crate::simbench::simbench(scale, 3, shards);
             print::simbench(&result);
-            let path = "BENCH_sim.json";
-            match std::fs::write(path, result.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
-        }
-        "binpolicy" => {
-            let result = crate::experiments::binpolicy(scale);
-            print::binpolicy(&result);
-            let path = "BENCH_binpolicy.json";
-            match std::fs::write(path, result.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
+            write_json("BENCH_sim.json", result.to_json());
         }
         "topology" => {
             let result = crate::experiments::topology(scale);
             print::topology(&result);
-            let path = "BENCH_topology.json";
-            match std::fs::write(path, result.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
+            write_json("BENCH_topology.json", result.to_json());
         }
         "servebench" => {
             let result = crate::servebench::servebench(scale);
             print::servebench(&result);
-            let path = "BENCH_serve.json";
-            match std::fs::write(path, result.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
+            write_json("BENCH_serve.json", result.to_json());
         }
         "servelong" => {
             let (result, violations) = crate::servebench::servelong(scale);
@@ -154,22 +227,59 @@ pub fn run_at(experiment: &str, scale: &crate::ExpScale) {
                 report.kernels.push(analyze::analyze(&capture, &opts));
             }
             print!("{}", report.to_text());
-            let path = "ANALYZE_smoke.json";
-            match std::fs::write(path, report.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
+            write_json("ANALYZE_smoke.json", report.to_json());
         }
         "steal" => {
             let result = crate::experiments::steal(scale);
             print::steal(&result);
-            let path = "BENCH_steal.json";
-            match std::fs::write(path, result.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
+            write_json("BENCH_steal.json", result.to_json());
         }
-        other => eprintln!("unknown experiment: {other}"),
+        other => {
+            eprintln!("unknown experiment: {other}\n{}", usage());
+            std::process::exit(2);
+        }
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn parse_args_keeps_names_in_order_and_accepts_every_flag() {
+        let args = argv("--smoke steal --shards 4 all --shards=2 --analyze table3 --full");
+        assert_eq!(parse_args(&args), Ok(argv("steal all table3")));
+        assert_eq!(parse_args(&[]), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn parse_args_rejects_unknown_names_flags_and_counts() {
+        for bad in [
+            "binpolicy",
+            "--smok",
+            "table1 -v",
+            "--shards",
+            "--shards four",
+            "--shards=x",
+        ] {
+            assert!(parse_args(&argv(bad)).is_err(), "{bad:?} accepted");
+        }
+        assert_eq!(
+            parse_args(&argv("table10")),
+            Err("unknown experiment: table10".to_owned())
+        );
+    }
+
+    #[test]
+    fn all_skips_only_the_long_gate_and_the_analysis() {
+        let all = all();
+        assert_eq!(all.len(), EXPERIMENTS.len() - 2);
+        assert!(!all.contains(&"servelong".to_owned()));
+        assert!(!all.contains(&"analyze".to_owned()));
+    }
 }

@@ -772,165 +772,13 @@ pub fn steal(scale: &ExpScale) -> StealAblationResult {
 }
 
 // ---------------------------------------------------------------------
-// Bin-policy ablation: flat (paper §3.2) vs hierarchical (L1-in-L2)
+// Topology ablation: flat vs 2-level vs full machine-tree binning
 // ---------------------------------------------------------------------
-
-/// One measured cell of the bin-policy ablation: one threaded workload
-/// under one hints→bin policy on one machine, fully simulated.
-#[derive(Clone, Debug)]
-pub struct BinPolicyRow {
-    /// Unique row label `"<kernel>.<machine>.<policy>"` — the benchdiff
-    /// row key, so baselines match rows by identity, not position.
-    pub workload: String,
-    /// Kernel name (`"matmul"`, `"pde"`, `"sor"`, `"nbody"`).
-    pub kernel: String,
-    /// Machine name (`"r8000"` / `"r10000"`).
-    pub machine: String,
-    /// Policy name (`"flat"` / `"hierarchical"`).
-    pub policy: String,
-    /// Finest bin block in bytes: the L1-derived sub-bin size for the
-    /// hierarchical policy, the L2-derived block for flat.
-    pub l1_block: u64,
-    /// L2-derived (parent) block size in bytes.
-    pub l2_block: u64,
-    /// Threads forked and run.
-    pub threads: u64,
-    /// Simulated data references (deterministic).
-    pub accesses: u64,
-    /// Full simulation report for this cell.
-    pub report: SimReport,
-    /// Modeled nanoseconds on this row's machine.
-    pub modeled_ns: u64,
-}
-
-/// The bin-policy ablation: each threaded kernel under the flat paper
-/// policy and the hierarchical (L1-in-L2) policy, on both machine
-/// models at the kernel's table scale.
-#[derive(Clone, Debug)]
-pub struct BinPolicyResult {
-    /// One row per (kernel × machine × policy).
-    pub rows: Vec<BinPolicyRow>,
-}
-
-impl BinPolicyResult {
-    /// The measured cell for one (kernel, machine, policy).
-    pub fn row(&self, kernel: &str, machine: &str, policy: &str) -> Option<&BinPolicyRow> {
-        self.rows
-            .iter()
-            .find(|r| r.kernel == kernel && r.machine == machine && r.policy == policy)
-    }
-
-    fn delta_pct(flat: u64, hier: u64) -> f64 {
-        if flat == 0 {
-            0.0
-        } else {
-            100.0 * (hier as f64 - flat as f64) / flat as f64
-        }
-    }
-
-    /// Hierarchical-vs-flat L1 miss delta in percent (negative =
-    /// hierarchical misses less).
-    pub fn l1_miss_delta_pct(&self, kernel: &str, machine: &str) -> f64 {
-        match (
-            self.row(kernel, machine, "flat"),
-            self.row(kernel, machine, "hierarchical"),
-        ) {
-            (Some(f), Some(h)) => Self::delta_pct(f.report.l1.misses(), h.report.l1.misses()),
-            _ => 0.0,
-        }
-    }
-
-    /// Hierarchical-vs-flat L2 miss delta in percent.
-    pub fn l2_miss_delta_pct(&self, kernel: &str, machine: &str) -> f64 {
-        match (
-            self.row(kernel, machine, "flat"),
-            self.row(kernel, machine, "hierarchical"),
-        ) {
-            (Some(f), Some(h)) => Self::delta_pct(f.report.l2.misses(), h.report.l2.misses()),
-            _ => 0.0,
-        }
-    }
-
-    /// Hierarchical-vs-flat modeled-time delta in percent.
-    pub fn modeled_delta_pct(&self, kernel: &str, machine: &str) -> f64 {
-        match (
-            self.row(kernel, machine, "flat"),
-            self.row(kernel, machine, "hierarchical"),
-        ) {
-            (Some(f), Some(h)) => Self::delta_pct(f.modeled_ns, h.modeled_ns),
-            _ => 0.0,
-        }
-    }
-
-    /// The (kernel, machine) pairs present, in row order.
-    pub fn pairs(&self) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for row in &self.rows {
-            let pair = (row.kernel.clone(), row.machine.clone());
-            if !pairs.contains(&pair) {
-                pairs.push(pair);
-            }
-        }
-        pairs
-    }
-
-    /// Serializes the ablation as the `BENCH_binpolicy.json` payload:
-    /// per-cell simulated miss counts/rates (deterministic, gated by
-    /// benchdiff) plus per-(kernel, machine) hierarchical-vs-flat
-    /// deltas.
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{\"experiment\":\"binpolicy\",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            write!(
-                json,
-                "{{\"workload\":\"{}\",\"kernel\":\"{}\",\"machine\":\"{}\",\
-                 \"policy\":\"{}\",\"l1_block\":{},\"l2_block\":{},\"threads\":{},\
-                 \"accesses\":{},\"l1_misses\":{},\"l2_misses\":{},\
-                 \"l1_miss_rate_pct\":{:.4},\"l2_miss_rate_pct\":{:.4},\"modeled_ns\":{}}}",
-                row.workload,
-                row.kernel,
-                row.machine,
-                row.policy,
-                row.l1_block,
-                row.l2_block,
-                row.threads,
-                row.accesses,
-                row.report.l1.misses(),
-                row.report.l2.misses(),
-                row.report.l1_miss_rate_percent(),
-                row.report.l2_miss_rate_percent(),
-                row.modeled_ns,
-            )
-            .expect("writing to String cannot fail");
-        }
-        json.push_str("],\"deltas\":[");
-        for (i, (kernel, machine)) in self.pairs().iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            write!(
-                json,
-                "{{\"workload\":\"{kernel}.{machine}\",\
-                 \"l1_miss_delta_pct\":{:.4},\"l2_miss_delta_pct\":{:.4},\
-                 \"modeled_delta_pct\":{:.4}}}",
-                self.l1_miss_delta_pct(kernel, machine),
-                self.l2_miss_delta_pct(kernel, machine),
-                self.modeled_delta_pct(kernel, machine),
-            )
-            .expect("writing to String cannot fail");
-        }
-        json.push_str("]}");
-        json
-    }
-}
 
 /// Builds the simulation cell for one (kernel, machine, policy)
 /// combination: the kernel's threaded version under `policy`, with the
 /// same problem sizes, seeds and hints as its paper table.
-fn binpolicy_cell<P: BinPolicy + Send + 'static>(
+fn policy_cell<P: BinPolicy + Send + 'static>(
     scale: &ExpScale,
     kernel: Kernel,
     machine: &MachineModel,
@@ -977,92 +825,6 @@ fn binpolicy_cell<P: BinPolicy + Send + 'static>(
     }
 }
 
-/// The bin-policy ablation at `scale`: flat vs hierarchical binning for
-/// every threaded kernel on both machine models.
-pub fn binpolicy(scale: &ExpScale) -> BinPolicyResult {
-    binpolicy_with(scale, Driver::default())
-}
-
-/// [`binpolicy`] under an explicit [`Driver`].
-pub fn binpolicy_with(scale: &ExpScale, driver: Driver) -> BinPolicyResult {
-    let kernels = [
-        ("matmul", Kernel::MatMul, scale.matmul_factor),
-        ("pde", Kernel::Pde, scale.pde_factor),
-        ("sor", Kernel::Sor, scale.sor_factor),
-        ("nbody", Kernel::NBody, scale.nbody_factor),
-    ];
-    struct Meta {
-        kernel: &'static str,
-        machine_name: &'static str,
-        policy: &'static str,
-        l1_block: u64,
-        l2_block: u64,
-        machine: MachineModel,
-    }
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut meta: Vec<Meta> = Vec::new();
-    for (kname, kernel, factor) in kernels {
-        let (r8000, r10000) = machines(factor);
-        for (mname, machine) in [("r8000", &r8000), ("r10000", &r10000)] {
-            let geo = BinGeometry::for_machine(machine);
-            let config = geo.flat_config(kernel);
-            let (l1_block, l2_block) = (geo.l1_block(kernel), geo.l2_block(kernel));
-            cells.push(binpolicy_cell(
-                scale,
-                kernel,
-                machine,
-                config,
-                PaperBlockHash::from_config(&config),
-            ));
-            meta.push(Meta {
-                kernel: kname,
-                machine_name: mname,
-                policy: "flat",
-                l1_block: l2_block,
-                l2_block,
-                machine: machine.clone(),
-            });
-            let hier = geo
-                .hierarchical(kernel)
-                .expect("machine-derived geometry is valid");
-            cells.push(binpolicy_cell(scale, kernel, machine, config, hier));
-            meta.push(Meta {
-                kernel: kname,
-                machine_name: mname,
-                policy: "hierarchical",
-                l1_block,
-                l2_block,
-                machine: machine.clone(),
-            });
-        }
-    }
-    let results = run_cells(cells, driver);
-    let rows = meta
-        .into_iter()
-        .zip(results)
-        .map(|(m, (_name, report))| {
-            let modeled_ns = (report.time_on(&m.machine).total() * 1e9).round() as u64;
-            BinPolicyRow {
-                workload: format!("{}.{}.{}", m.kernel, m.machine_name, m.policy),
-                kernel: m.kernel.to_owned(),
-                machine: m.machine_name.to_owned(),
-                policy: m.policy.to_owned(),
-                l1_block: m.l1_block,
-                l2_block: m.l2_block,
-                threads: report.threads,
-                accesses: report.data_references(),
-                report,
-                modeled_ns,
-            }
-        })
-        .collect();
-    BinPolicyResult { rows }
-}
-
-// ---------------------------------------------------------------------
-// Topology ablation: flat vs 2-level vs full machine-tree binning
-// ---------------------------------------------------------------------
-
 /// One measured cell of the topology ablation: one threaded workload
 /// under one binning depth on one machine, fully simulated.
 #[derive(Clone, Debug)]
@@ -1072,7 +834,7 @@ pub struct TopologyRow {
     pub workload: String,
     /// Kernel name (`"matmul"`, `"pde"`, `"sor"`, `"nbody"`).
     pub kernel: String,
-    /// Machine name (`"r8000"` / `"numa2"`).
+    /// Machine name (`"r8000"` / `"r10000"` / `"numa2"`).
     pub machine: String,
     /// Policy name (`"flat"` / `"hierarchical"` / `"topology"`).
     pub policy: String,
@@ -1092,9 +854,9 @@ pub struct TopologyRow {
 
 /// The topology ablation: each threaded kernel binned flat (paper
 /// §3.2), two-level (L1-in-L2), and at the machine tree's full depth —
-/// on a two-level paper machine (where the tree policy must collapse
-/// to hierarchical) and on the four-level NUMA bench machine (where
-/// the extra rungs group bins under L3 and socket subtrees).
+/// on both two-level paper machines (where the tree policy must
+/// collapse to hierarchical) and on the four-level NUMA bench machine
+/// (where the extra rungs group bins under L3 and socket subtrees).
 #[derive(Clone, Debug)]
 pub struct TopologyResult {
     /// One row per (kernel × machine × policy).
@@ -1227,7 +989,7 @@ impl TopologyResult {
 
 /// The topology ablation at `scale`: flat vs two-level vs full-tree
 /// binning for every threaded kernel, on the scaled two-level R8000
-/// and the scaled four-level NUMA machine.
+/// and R10000 and the scaled four-level NUMA machine.
 pub fn topology(scale: &ExpScale) -> TopologyResult {
     topology_with(scale, Driver::default())
 }
@@ -1252,16 +1014,14 @@ pub fn topology_with(scale: &ExpScale, driver: Driver) -> TopologyResult {
     for (kname, kernel, factor) in kernels {
         // Same ratio-preserving scaling as the paper tables: coarse
         // levels shrink with the problem area, the L1 stays full-size.
-        let r8000 = MachineModel::r8000()
-            .scaled_split(1.0, factor)
-            .expect("valid scaled machine");
+        let (r8000, r10000) = machines(factor);
         let numa2 = MachineModel::numa2()
             .scaled_split(1.0, factor)
             .expect("valid scaled machine");
-        for (mname, machine) in [("r8000", &r8000), ("numa2", &numa2)] {
+        for (mname, machine) in [("r8000", &r8000), ("r10000", &r10000), ("numa2", &numa2)] {
             let geo = BinGeometry::for_machine(machine);
             let config = geo.flat_config(kernel);
-            cells.push(binpolicy_cell(
+            cells.push(policy_cell(
                 scale,
                 kernel,
                 machine,
@@ -1278,7 +1038,7 @@ pub fn topology_with(scale: &ExpScale, driver: Driver) -> TopologyResult {
             let hier = geo
                 .hierarchical(kernel)
                 .expect("machine-derived geometry is valid");
-            cells.push(binpolicy_cell(scale, kernel, machine, config, hier));
+            cells.push(policy_cell(scale, kernel, machine, config, hier));
             meta.push(Meta {
                 kernel: kname,
                 machine_name: mname,
@@ -1289,7 +1049,7 @@ pub fn topology_with(scale: &ExpScale, driver: Driver) -> TopologyResult {
             let tree = geo
                 .topology_policy(kernel)
                 .expect("machine-derived ladder is valid");
-            cells.push(binpolicy_cell(scale, kernel, machine, config, tree));
+            cells.push(policy_cell(scale, kernel, machine, config, tree));
             meta.push(Meta {
                 kernel: kname,
                 machine_name: mname,
@@ -1461,7 +1221,7 @@ mod tests {
         assert!(result.total_ns() < 100_000.0, "null threads cost < 100 µs");
     }
 
-    /// A sub-smoke scale so the ablation's 16 simulated cells stay
+    /// A sub-smoke scale so the ablation's 36 simulated cells stay
     /// unit-test cheap.
     fn tiny_scale() -> ExpScale {
         ExpScale {
@@ -1481,62 +1241,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn binpolicy_reports_all_cells() {
-        let result = binpolicy(&tiny_scale());
-        assert_eq!(result.rows.len(), 16, "4 kernels × 2 machines × 2 policies");
-        for kernel in ["matmul", "pde", "sor", "nbody"] {
-            for machine in ["r8000", "r10000"] {
-                let flat = result.row(kernel, machine, "flat").expect("flat cell");
-                let hier = result
-                    .row(kernel, machine, "hierarchical")
-                    .expect("hierarchical cell");
-                // Same program, same hints: the policy reorders
-                // execution but never changes what the application
-                // executes. The access totals include traced package
-                // memory, and the two-level policy allocates more bin
-                // and group records than flat, so hierarchical may add
-                // (but never remove) references.
-                assert_eq!(flat.threads, hier.threads, "{kernel}.{machine}");
-                assert!(hier.accesses >= flat.accesses, "{kernel}.{machine}");
-                assert!(flat.threads > 0, "{kernel}.{machine}");
-                assert!(flat.report.l1.misses() > 0, "{kernel}.{machine}");
-                assert!(hier.l1_block < hier.l2_block, "{kernel}.{machine}");
-                assert_eq!(flat.l1_block, flat.l2_block, "flat has one level");
-            }
-        }
-        let json = result.to_json();
-        assert!(json.contains("\"experiment\":\"binpolicy\""), "{json}");
-        assert!(
-            json.contains("\"workload\":\"matmul.r8000.flat\""),
-            "{json}"
-        );
-        assert!(json.contains("\"l2_miss_delta_pct\":"), "{json}");
-        // The hierarchical policy must actually schedule differently
-        // from flat somewhere (it was a silent no-op when both levels
-        // floored to the same block size).
-        assert!(
-            result.rows.iter().any(|row| {
-                row.policy == "hierarchical"
-                    && result
-                        .row(&row.kernel, &row.machine, "flat")
-                        .is_some_and(|flat| {
-                            flat.report.l1.misses() != row.report.l1.misses()
-                                || flat.report.l2.misses() != row.report.l2.misses()
-                        })
-            }),
-            "hierarchical is a no-op on every cell"
-        );
-    }
-
     /// Regression for the hierarchical-binning no-op: every kernel ×
-    /// machine cell `BENCH_binpolicy.json` measures — at every shipped
-    /// scale preset — must give the hierarchical policy a sub-bin block
-    /// strictly finer than its parent block. (Scaled bench machines
-    /// shrink only the L2, which used to floor both blocks to the same
-    /// value and made `Hierarchical` byte-identical to flat.)
+    /// paper-machine cell `BENCH_topology.json` measures — at every
+    /// shipped scale preset — must give the hierarchical policy a
+    /// sub-bin block strictly finer than its parent block. (Scaled bench
+    /// machines shrink only the L2, which used to floor both blocks to
+    /// the same value and made the hierarchical rows byte-identical to
+    /// flat.)
     #[test]
-    fn binpolicy_cells_keep_hierarchical_levels_apart() {
+    fn topology_cells_keep_hierarchical_levels_apart() {
         for (preset, scale) in [
             ("smoke", ExpScale::smoke()),
             ("default", ExpScale::default_scaled()),
@@ -1568,9 +1281,9 @@ mod tests {
     #[test]
     fn topology_reports_all_cells() {
         let result = topology(&tiny_scale());
-        assert_eq!(result.rows.len(), 24, "4 kernels × 2 machines × 3 policies");
+        assert_eq!(result.rows.len(), 36, "4 kernels × 3 machines × 3 policies");
         for kernel in ["matmul", "pde", "sor", "nbody"] {
-            for machine in ["r8000", "numa2"] {
+            for machine in ["r8000", "r10000", "numa2"] {
                 let flat = result.row(kernel, machine, "flat").expect("flat cell");
                 let hier = result
                     .row(kernel, machine, "hierarchical")
@@ -1582,16 +1295,23 @@ mod tests {
                 assert_eq!(hier.blocks.len(), 2, "{kernel}.{machine}");
                 assert_eq!(flat.threads, hier.threads, "{kernel}.{machine}");
                 assert_eq!(flat.threads, tree.threads, "{kernel}.{machine}");
+                // The access totals include traced package memory, and
+                // the nested policies allocate more bin and group
+                // records than flat, so they may add (but never remove)
+                // references.
+                assert!(hier.accesses >= flat.accesses, "{kernel}.{machine}");
                 assert!(flat.report.l1.misses() > 0, "{kernel}.{machine}");
             }
             // On a two-level machine the full-tree policy must be
             // bit-identical to the two-level hierarchical policy — the
             // generalization adds depth, never changes the depth-2 case.
-            let hier = result.row(kernel, "r8000", "hierarchical").unwrap();
-            let tree = result.row(kernel, "r8000", "topology").unwrap();
-            assert_eq!(tree.blocks.len(), 2, "{kernel}: r8000 tree depth");
-            assert_eq!(tree.blocks, hier.blocks, "{kernel}");
-            assert_eq!(tree.report, hier.report, "{kernel}: depth-2 equivalence");
+            for machine in ["r8000", "r10000"] {
+                let hier = result.row(kernel, machine, "hierarchical").unwrap();
+                let tree = result.row(kernel, machine, "topology").unwrap();
+                assert_eq!(tree.blocks.len(), 2, "{kernel}: {machine} tree depth");
+                assert_eq!(tree.blocks, hier.blocks, "{kernel}.{machine}");
+                assert_eq!(tree.report, hier.report, "{kernel}.{machine}: depth 2");
+            }
             // On the NUMA machine the tree has four rungs.
             let deep = result.row(kernel, "numa2", "topology").unwrap();
             assert_eq!(deep.blocks.len(), 4, "{kernel}: numa2 tree depth");
@@ -1614,6 +1334,22 @@ mod tests {
             "full-depth binning is a no-op on {} of 4 kernels",
             4 - moved
         );
+        // The hierarchical policy must actually schedule differently
+        // from flat on some paper-machine cell (it was a silent no-op
+        // when both levels floored to the same block size).
+        assert!(
+            result.rows.iter().any(|row| {
+                row.policy == "hierarchical"
+                    && row.machine != "numa2"
+                    && result
+                        .row(&row.kernel, &row.machine, "flat")
+                        .is_some_and(|flat| {
+                            flat.report.l1.misses() != row.report.l1.misses()
+                                || flat.report.l2.misses() != row.report.l2.misses()
+                        })
+            }),
+            "hierarchical is a no-op on every paper-machine cell"
+        );
         let json = result.to_json();
         assert!(json.contains("\"experiment\":\"topology\""), "{json}");
         assert!(
@@ -1621,6 +1357,10 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"depth\":4"), "{json}");
+        assert!(
+            json.contains("\"workload\":\"matmul.r10000.flat\""),
+            "{json}"
+        );
         assert!(
             json.contains("\"workload\":\"nbody.numa2.topology\",\"l1_miss_delta_pct\":"),
             "{json}"
@@ -1632,14 +1372,6 @@ mod tests {
         let scale = tiny_scale();
         let seq = topology_with(&scale, Driver::Sequential);
         let par = topology_with(&scale, Driver::Parallel);
-        assert_eq!(seq.to_json(), par.to_json());
-    }
-
-    #[test]
-    fn binpolicy_parallel_driver_matches_sequential() {
-        let scale = tiny_scale();
-        let seq = binpolicy_with(&scale, Driver::Sequential);
-        let par = binpolicy_with(&scale, Driver::Parallel);
         assert_eq!(seq.to_json(), par.to_json());
     }
 

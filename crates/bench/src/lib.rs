@@ -25,10 +25,10 @@ pub mod servebench;
 pub mod simbench;
 
 pub use experiments::{
-    binpolicy, binpolicy_with, figure4, run_cells, steal_ablation, table1, table2, table2_with,
-    table3, table4, table4_with, table5, table6, table6_with, table7, table8, table8_with, table9,
-    topology, topology_with, BinPolicyResult, BinPolicyRow, Cell, Driver, Figure4Result, MissRow,
-    StealAblationResult, StealRow, Table1Result, TimeRow, TopologyResult, TopologyRow,
+    figure4, run_cells, steal_ablation, table1, table2, table2_with, table3, table4, table4_with,
+    table5, table6, table6_with, table7, table8, table8_with, table9, topology, topology_with,
+    Cell, Driver, Figure4Result, MissRow, StealAblationResult, StealRow, Table1Result, TimeRow,
+    TopologyResult, TopologyRow,
 };
 pub use scale::ExpScale;
 pub use servebench::{servebench, ServeBenchResult, ServeBenchRow};

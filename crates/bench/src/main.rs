@@ -1,55 +1,33 @@
 //! `repro` — runs any or all of the paper's tables/figures.
 //!
 //! ```text
-//! repro [all|table1|table2|...|table9|figure4|steal|simbench|binpolicy|topology|servebench|analyze]...
+//! repro [all|table1|table2|...|table9|figure4|steal|simbench|topology|servebench|servelong|analyze]...
 //!       [--full|--smoke] [--analyze] [--shards N]
 //! ```
 //!
 //! `--analyze` (or the `analyze` experiment name) appends the
 //! `schedlint` four-kernel schedule-safety self-check and writes
-//! `ANALYZE_smoke.json`.
+//! `ANALYZE_smoke.json`. Any other name or flag is rejected with the
+//! valid set and exit status 2 before anything runs.
 
+use repro::cli;
 use repro::scale::scale_from_args;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_from_args(args.iter().cloned());
-    let mut wanted: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--shards" {
-            iter.next(); // skip the count; cli::run_at re-parses it
-        } else if !arg.starts_with("--") {
-            wanted.push(arg.as_str());
-        }
+    let mut wanted = cli::names_or_exit(&args);
+    if wanted.is_empty() || wanted.iter().any(|name| name == "all") {
+        wanted = cli::all();
     }
-    if wanted.is_empty() || wanted.contains(&"all") {
-        wanted = vec![
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "table5",
-            "table6",
-            "table7",
-            "table8",
-            "table9",
-            "figure4",
-            "steal",
-            "simbench",
-            "binpolicy",
-            "topology",
-            "servebench",
-        ];
+    if args.iter().any(|a| a == "--analyze") && !wanted.iter().any(|name| name == "analyze") {
+        wanted.push("analyze".to_owned());
     }
-    if args.iter().any(|a| a == "--analyze") && !wanted.contains(&"analyze") {
-        wanted.push("analyze");
-    }
+    let scale = scale_from_args(args);
     println!(
         "thread-locality reproduction harness (scale: matmul n={}, pde n={}, sor n={}, nbody n={})\n",
         scale.matmul_n, scale.pde_n, scale.sor_n, scale.nbody_n
     );
-    for experiment in wanted {
-        repro::cli::run_at(experiment, &scale);
+    for experiment in &wanted {
+        cli::run_at(experiment, &scale);
     }
 }

@@ -1,8 +1,7 @@
 //! Rendering of experiment results next to the paper's numbers.
 
 use crate::experiments::{
-    BinPolicyResult, Figure4Result, MissRow, StealAblationResult, Table1Result, TimeRow,
-    TopologyResult,
+    Figure4Result, MissRow, StealAblationResult, Table1Result, TimeRow, TopologyResult,
 };
 use crate::fmt::{ratio, secs, thousands, TextTable};
 use crate::paper;
@@ -285,73 +284,12 @@ pub fn steal(result: &StealAblationResult) {
     );
 }
 
-/// Prints the bin-policy ablation: per (kernel, machine) the simulated
-/// misses under flat vs hierarchical binning and the deltas.
-pub fn binpolicy(result: &BinPolicyResult) {
-    println!(
-        "Bin-policy ablation: flat (paper §3.2, L2-sized bins) vs hierarchical\n(L1-sized sub-bins nested in L2-sized bins), threaded versions, simulated\n"
-    );
-    let mut t = TextTable::new(vec![
-        "workload",
-        "machine",
-        "policy",
-        "block(s)",
-        "threads",
-        "L1 misses",
-        "L2 misses",
-        "L1 rate",
-        "L2 rate",
-        "modeled (ms)",
-    ]);
-    for row in &result.rows {
-        let blocks = if row.policy == "hierarchical" {
-            format!("{}K in {}K", row.l1_block >> 10, row.l2_block >> 10)
-        } else {
-            format!("{}K", row.l2_block >> 10)
-        };
-        t.row(vec![
-            row.kernel.clone(),
-            row.machine.clone(),
-            row.policy.clone(),
-            blocks,
-            thousands(row.threads),
-            thousands(row.report.l1.misses()),
-            thousands(row.report.l2.misses()),
-            format!("{:.1}%", row.report.l1_miss_rate_percent()),
-            format!("{:.1}%", row.report.l2_miss_rate_percent()),
-            format!("{:.3}", row.modeled_ns as f64 / 1e6),
-        ]);
-    }
-    print!("{}", t.render());
-    println!();
-    let mut d = TextTable::new(vec![
-        "workload",
-        "machine",
-        "L1 miss Δ",
-        "L2 miss Δ",
-        "modeled Δ",
-    ]);
-    for (kernel, machine) in result.pairs() {
-        d.row(vec![
-            kernel.clone(),
-            machine.clone(),
-            format!("{:+.1}%", result.l1_miss_delta_pct(&kernel, &machine)),
-            format!("{:+.1}%", result.l2_miss_delta_pct(&kernel, &machine)),
-            format!("{:+.1}%", result.modeled_delta_pct(&kernel, &machine)),
-        ]);
-    }
-    print!("{}", d.render());
-    println!(
-        "\nΔ = hierarchical vs flat (negative = hierarchical better). Sub-bins\nkeep each L1-sized working set resident while the parent bin still\nbounds the L2 working set; the L2 columns should be ~unchanged while\nL1 misses move."
-    );
-}
-
 /// Prints the topology ablation: per (kernel, machine) the simulated
 /// misses under flat, two-level, and full machine-tree binning, and
 /// each deeper policy's deltas against flat.
 pub fn topology(result: &TopologyResult) {
     println!(
-        "Topology ablation: flat (paper §3.2) vs two-level (L1-in-L2) vs full\nmachine-tree binning, threaded versions, simulated on a two-level paper\nmachine and a four-level NUMA machine\n"
+        "Topology ablation: flat (paper §3.2) vs two-level (L1-in-L2) vs full\nmachine-tree binning, threaded versions, simulated on two two-level paper\nmachines and a four-level NUMA machine\n"
     );
     let mut t = TextTable::new(vec![
         "workload",
@@ -425,7 +363,7 @@ pub fn topology(result: &TopologyResult) {
     }
     print!("{}", d.render());
     println!(
-        "\nΔ = policy vs flat (negative = deeper binning better). On the two-level\nmachine the topology policy must match hierarchical exactly; on the NUMA\nmachine its extra rungs keep sibling bins under the same L3/socket\nsubtree adjacent in the tour."
+        "\nΔ = policy vs flat (negative = deeper binning better). On the two-level\nmachines the topology policy must match hierarchical exactly; on the NUMA\nmachine its extra rungs keep sibling bins under the same L3/socket\nsubtree adjacent in the tour."
     );
 }
 

@@ -109,3 +109,31 @@ fn figure4_smoke_output_has_the_papers_shape() {
         assert!(spark.contains("(min") && spark.contains("max"), "{spark:?}");
     }
 }
+
+/// `repro` checks every name and flag before running anything: a
+/// removed experiment or a mistyped flag exits non-zero, prints the
+/// valid set, and runs no experiment.
+#[test]
+fn repro_rejects_unknown_names_and_flags() {
+    for args in [&["binpolicy"][..], &["--smok", "table1"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("spawning repro");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(args[0]), "{args:?} not named: {stderr}");
+        for name in repro::cli::EXPERIMENTS {
+            assert!(
+                stderr.contains(name),
+                "{args:?}: {name} not listed: {stderr}"
+            );
+        }
+        assert!(stderr.contains("--smoke"), "{args:?}: flags not listed");
+        assert!(
+            output.stdout.is_empty(),
+            "{args:?} ran something: {}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+    }
+}

@@ -2,9 +2,7 @@
 //! type and the [`BinPolicy`].
 //!
 //! Every scheduler in this crate — [`Scheduler`](crate::Scheduler),
-//! [`PhasedScheduler`](crate::PhasedScheduler),
-//! [`FifoScheduler`](crate::FifoScheduler),
-//! [`RandomScheduler`](crate::RandomScheduler) and
+//! [`PhasedScheduler`](crate::PhasedScheduler) and
 //! [`ParScheduler`](crate::ParScheduler) — is a thin configuration of
 //! this one engine: hash table + ready list, thread groups, optional
 //! package-memory tracing, the tour-ordered drain loop, and the probe

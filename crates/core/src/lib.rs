@@ -67,8 +67,6 @@
 //! # Ok::<(), locality_sched::ConfigError>(())
 //! ```
 
-mod baseline;
-mod closure;
 mod config;
 mod engine;
 mod hint;
@@ -80,8 +78,6 @@ mod stats;
 mod table;
 mod tour;
 
-pub use baseline::{FifoScheduler, RandomScheduler};
-pub use closure::ClosureScheduler;
 pub use config::{
     ConfigError, EvictionPolicy, SchedulerConfig, SchedulerConfigBuilder, StealPolicy,
 };
@@ -89,10 +85,8 @@ pub use engine::PACKAGE_TRACE_BASE;
 pub use hint::{Hints, MAX_DIMS};
 pub use parallel::{ParRunReport, ParScheduler, ParThreadFn};
 pub use phased::PhasedScheduler;
-pub use policy::{
-    BinPolicy, Hierarchical, PaperBlockHash, SingleBin, TopologyPolicy, UniqueBin, MAX_LEVELS,
-};
-pub use scheduler::{RunMode, Scheduler, ThreadFn, ThreadScheduler};
+pub use policy::{BinPolicy, PaperBlockHash, SingleBin, TopologyPolicy, UniqueBin, MAX_LEVELS};
+pub use scheduler::{RunMode, Scheduler, ThreadFn};
 pub use stats::{RunStats, SchedulerStats, WorkerStats};
 pub use tour::Tour;
 

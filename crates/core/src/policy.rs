@@ -5,11 +5,11 @@
 //! dimension sizes of the block are set such that their sum are the
 //! same as the second-level cache size" (§3.2) is one choice among
 //! many. [`BinPolicy`] makes that choice a first-class parameter of the
-//! shared bin engine, so every scheduler in this crate — locality,
-//! phased, FIFO, random, parallel — is a thin configuration of one
-//! engine instead of five copies of the fork/bin/drain loop.
+//! shared bin engine, so every scheduler in this crate — sequential,
+//! phased, parallel — is a thin configuration of one engine instead of
+//! a copy of the fork/bin/drain loop each.
 //!
-//! Three policies reproduce and extend the paper:
+//! Two policies reproduce and extend the paper:
 //!
 //! * [`PaperBlockHash`] — the paper's mapping, bit-identical to the
 //!   pre-refactor `SchedulerConfig::block_coords`: shift each hint by
@@ -19,11 +19,8 @@
 //!   ⊂ NUMA node ⊂ …): one block size per level, finest to coarsest.
 //!   Threads are binned at the finest granularity; the engine tours
 //!   the coarsest-level groups and drains nested sub-bins back-to-back
-//!   in sorted-key order at every depth.
-//! * [`Hierarchical`] — the two-level (L1-in-L2) special case, kept as
-//!   a thin depth-2 alias of [`TopologyPolicy`]; its drain order is
-//!   pinned bit-identical to the pre-topology implementation by the
-//!   golden digests.
+//!   in sorted-key order at every depth. The two-level (L1-in-L2)
+//!   policy is the two-rung ladder `TopologyPolicy::uniform(&[l1, l2])`.
 //!
 //! Two degenerate policies express the baselines:
 //!
@@ -295,66 +292,8 @@ impl BinPolicy for TopologyPolicy {
     }
 }
 
-/// Two-level policy: L1-cache-sized sub-bins nested inside L2-sized
-/// parent bins — the depth-2 special case of [`TopologyPolicy`], kept
-/// as a named type because it is the configuration the experiment suite
-/// ablates and the golden digests pin bit-identically to the
-/// pre-topology implementation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Hierarchical {
-    inner: TopologyPolicy,
-}
-
-impl Hierarchical {
-    /// Builds a two-level policy from per-dimension L1 (sub-bin) and
-    /// L2 (parent bin) block sizes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any block size is zero or not a power of
-    /// two, if an L1 block exceeds its dimension's L2 block, or if
-    /// `symmetric` is requested with non-uniform block sizes (folding
-    /// permutes coordinates across dimensions, which is only meaningful
-    /// when every dimension uses the same geometry).
-    pub fn new(
-        l1_blocks: [u64; MAX_DIMS],
-        l2_blocks: [u64; MAX_DIMS],
-        symmetric: bool,
-    ) -> Result<Self, ConfigError> {
-        let inner = TopologyPolicy::new(&[l1_blocks, l2_blocks], symmetric)?;
-        Ok(Hierarchical { inner })
-    }
-
-    /// Convenience constructor: the same L1 and L2 block size in every
-    /// dimension.
-    pub fn uniform(l1_block: u64, l2_block: u64, symmetric: bool) -> Result<Self, ConfigError> {
-        Hierarchical::new([l1_block; MAX_DIMS], [l2_block; MAX_DIMS], symmetric)
-    }
-}
-
-impl BinPolicy for Hierarchical {
-    #[inline]
-    fn bin_key(&mut self, hints: Hints) -> [u64; MAX_DIMS] {
-        self.inner.bin_key(hints)
-    }
-
-    #[inline]
-    fn ancestor_key(&self, key: [u64; MAX_DIMS], level: u32) -> [u64; MAX_DIMS] {
-        self.inner.ancestor_key(key, level)
-    }
-
-    fn depth(&self) -> u32 {
-        2
-    }
-
-    fn symmetric(&self) -> bool {
-        self.inner.symmetric()
-    }
-}
-
 /// Degenerate policy: every thread lands in one bin, so the engine
-/// drains in fork (FIFO) order. Backs
-/// [`FifoScheduler`](crate::FifoScheduler).
+/// drains in fork (FIFO) order — the "no locality scheduling" baseline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SingleBin;
 
@@ -372,9 +311,8 @@ impl BinPolicy for SingleBin {
 
 /// Degenerate policy: every thread gets its own bin (keys are a fork
 /// counter). Combined with [`Tour::Random`](crate::Tour::Random) this
-/// shuffles individual threads — backing
-/// [`RandomScheduler`](crate::RandomScheduler) bit-identically to the
-/// pre-refactor per-thread shuffle.
+/// shuffles individual threads — the adversarial random-order
+/// baseline, bit-identical to the pre-refactor per-thread shuffle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UniqueBin {
     next: u64,
@@ -420,8 +358,8 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_nests_l1_in_l2() {
-        let mut policy = Hierarchical::uniform(1 << 10, 1 << 12, false).unwrap();
+    fn two_rung_ladder_nests_l1_in_l2() {
+        let mut policy = TopologyPolicy::uniform(&[1 << 10, 1 << 12], false).unwrap();
         assert_eq!(policy.depth(), 2);
         // Two addresses in the same 4 KiB parent but different 1 KiB
         // sub-blocks.
@@ -456,22 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn topology_policy_matches_hierarchical_at_depth_2() {
-        let mut hier = Hierarchical::uniform(1 << 10, 1 << 13, true).unwrap();
-        let mut topo = TopologyPolicy::uniform(&[1 << 10, 1 << 13], true).unwrap();
-        for addrs in [(0x1000, 0x9000), (0x9000, 0x1000), (0x123456, 0xffff)] {
-            let hints = Hints::two(Addr::new(addrs.0), Addr::new(addrs.1));
-            let (hk, tk) = (hier.bin_key(hints), topo.bin_key(hints));
-            assert_eq!(hk, tk);
-            for level in 0..2 {
-                assert_eq!(hier.ancestor_key(hk, level), topo.ancestor_key(tk, level));
-            }
-        }
-        assert_eq!(hier.depth(), topo.depth());
-        assert_eq!(hier.symmetric(), topo.symmetric());
-    }
-
-    #[test]
     fn topology_policy_validates_geometry() {
         assert!(TopologyPolicy::uniform(&[], false).is_err(), "no levels");
         assert!(
@@ -493,23 +415,23 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_validates_geometry() {
+    fn two_rung_ladder_validates_geometry() {
         assert!(
-            Hierarchical::uniform(1 << 12, 1 << 10, false).is_err(),
+            TopologyPolicy::uniform(&[1 << 12, 1 << 10], false).is_err(),
             "L1 > L2"
         );
-        assert!(Hierarchical::uniform(0, 1 << 10, false).is_err());
-        assert!(Hierarchical::uniform(3000, 1 << 12, false).is_err());
+        assert!(TopologyPolicy::uniform(&[0, 1 << 10], false).is_err());
+        assert!(TopologyPolicy::uniform(&[3000, 1 << 12], false).is_err());
         assert!(
-            Hierarchical::new([512, 1024, 512, 512], [4096; 4], true).is_err(),
+            TopologyPolicy::new(&[[512, 1024, 512, 512], [4096; 4]], true).is_err(),
             "symmetric folding needs uniform blocks"
         );
-        assert!(Hierarchical::uniform(1 << 10, 1 << 12, true).is_ok());
+        assert!(TopologyPolicy::uniform(&[1 << 10, 1 << 12], true).is_ok());
     }
 
     #[test]
-    fn hierarchical_symmetric_folds_at_both_levels() {
-        let mut policy = Hierarchical::uniform(1 << 10, 1 << 12, true).unwrap();
+    fn two_rung_ladder_symmetric_folds_at_both_levels() {
+        let mut policy = TopologyPolicy::uniform(&[1 << 10, 1 << 12], true).unwrap();
         let ab = policy.bin_key(Hints::two(Addr::new(0x1000), Addr::new(0x9000)));
         let ba = policy.bin_key(Hints::two(Addr::new(0x9000), Addr::new(0x1000)));
         assert_eq!(ab, ba);

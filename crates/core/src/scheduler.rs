@@ -14,9 +14,7 @@ use memtrace::TraceSink;
 /// Keeping bodies as `fn` pointers (not closures) keeps a thread record
 /// at three words, so forking cannot allocate per thread or touch
 /// unbounded memory — a precondition of the paper's claim that "thread
-/// creation doesn't cause cache misses". For an ergonomic closure-based
-/// front end accepting captures, see
-/// [`ClosureScheduler`](crate::ClosureScheduler).
+/// creation doesn't cause cache misses".
 pub type ThreadFn<C> = fn(&mut C, usize, usize);
 
 /// What `run` does with the thread specifications afterwards, mirroring
@@ -34,26 +32,10 @@ pub enum RunMode {
 
 /// One scheduled thread: function pointer plus two arguments.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ThreadSpec<C> {
-    pub(crate) func: ThreadFn<C>,
-    pub(crate) arg1: usize,
-    pub(crate) arg2: usize,
-}
-
-/// A scheduler that can fork run-to-completion threads and run them in
-/// some order. Implemented by the locality [`Scheduler`] and by the
-/// [`FifoScheduler`](crate::FifoScheduler) /
-/// [`RandomScheduler`](crate::RandomScheduler) baselines, so
-/// experiments can swap policies generically.
-pub trait ThreadScheduler<C> {
-    /// Creates and schedules a thread to call `func(ctx, arg1, arg2)`.
-    fn fork(&mut self, func: ThreadFn<C>, arg1: usize, arg2: usize, hints: Hints);
-
-    /// Runs all scheduled threads and returns what ran.
-    fn run(&mut self, ctx: &mut C, mode: RunMode) -> RunStats;
-
-    /// Number of threads currently scheduled.
-    fn pending(&self) -> u64;
+struct ThreadSpec<C> {
+    func: ThreadFn<C>,
+    arg1: usize,
+    arg2: usize,
 }
 
 /// The hint-based locality scheduler.
@@ -64,12 +46,32 @@ pub trait ThreadScheduler<C> {
 /// bins along the configured [`Tour`](crate::Tour) — allocation order
 /// by default, as in the paper — draining each bin completely. Threads
 /// within a bin run in fork order ("the scheduling order of threads in
-/// the same bin can be arbitrary", §2.3). A two-level policy
-/// ([`Hierarchical`](crate::Hierarchical)) additionally orders each
-/// parent bin's L1-sized sub-bins so threads sharing an L1 working set
+/// the same bin can be arbitrary", §2.3). A multi-level
+/// [`TopologyPolicy`](crate::TopologyPolicy) additionally orders each
+/// parent bin's finer sub-bins so threads sharing an L1 working set
 /// run back-to-back.
 ///
-/// See the [crate docs](crate) for a complete example.
+/// The comparison baselines are policy + tour choices on the same
+/// scheduler: [`SingleBin`](crate::SingleBin) runs threads in fork
+/// order, and [`UniqueBin`](crate::UniqueBin) with
+/// [`Tour::Random`](crate::Tour::Random) runs them in a seeded
+/// per-thread shuffle.
+///
+/// ```
+/// use locality_sched::{Hints, RunMode, Scheduler, SchedulerConfig, SingleBin};
+///
+/// fn body(out: &mut Vec<usize>, i: usize, _j: usize) { out.push(i); }
+///
+/// let mut fifo = Scheduler::with_policy(SchedulerConfig::default(), SingleBin);
+/// for i in 0..3 {
+///     fifo.fork(body, i, 0, Hints::one((i as u64 * 4096).into()));
+/// }
+/// let mut out = Vec::new();
+/// fifo.run(&mut out, RunMode::Consume);
+/// assert_eq!(out, vec![0, 1, 2]);
+/// ```
+///
+/// See the [crate docs](crate) for a locality-binned example.
 #[derive(Clone, Debug)]
 pub struct Scheduler<C, P = PaperBlockHash> {
     config: SchedulerConfig,
@@ -343,25 +345,12 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
     }
 }
 
-impl<C, P: BinPolicy> ThreadScheduler<C> for Scheduler<C, P> {
-    fn fork(&mut self, func: ThreadFn<C>, arg1: usize, arg2: usize, hints: Hints) {
-        Scheduler::fork(self, func, arg1, arg2, hints);
-    }
-
-    fn run(&mut self, ctx: &mut C, mode: RunMode) -> RunStats {
-        Scheduler::run(self, ctx, mode)
-    }
-
-    fn pending(&self) -> u64 {
-        Scheduler::pending(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::GROUP_CAPACITY;
-    use crate::policy::Hierarchical;
+    use crate::policy::{SingleBin, TopologyPolicy, UniqueBin};
+    use crate::Tour;
     use memtrace::Addr;
 
     type Log = Vec<(usize, usize)>;
@@ -659,15 +648,87 @@ mod tests {
         assert_eq!(sched.bins(), 1, "5000 < 64 KiB: same block now");
     }
 
+    fn fifo() -> Scheduler<Log, SingleBin> {
+        Scheduler::with_policy(SchedulerConfig::default(), SingleBin)
+    }
+
+    fn random(seed: u64) -> Scheduler<Log, UniqueBin> {
+        let cfg = SchedulerConfig::builder()
+            .tour(Tour::Random(seed))
+            .build()
+            .unwrap();
+        Scheduler::with_policy(cfg, UniqueBin::default())
+    }
+
     #[test]
-    fn trait_object_compatible_generics() {
-        fn drive<S: ThreadScheduler<Log>>(sched: &mut S) -> u64 {
-            sched.fork(record, 7, 7, Hints::none());
-            let mut log = Log::new();
-            sched.run(&mut log, RunMode::Consume).threads_run
+    fn single_bin_preserves_fork_order() {
+        let mut sched = fifo();
+        for i in 0..20 {
+            sched.fork(record, i, 0, Hints::one(Addr::new(i as u64 * 1_000_000)));
         }
-        let mut sched: Scheduler<Log> = Scheduler::with_defaults();
-        assert_eq!(drive(&mut sched), 1);
+        assert_eq!(sched.pending(), 20);
+        let mut log = Log::new();
+        let stats = sched.run(&mut log, RunMode::Consume);
+        assert_eq!(stats.threads_run, 20);
+        assert_eq!(stats.bins_visited, 1);
+        let order: Vec<usize> = log.iter().map(|&(a, _)| a).collect();
+        assert_eq!(order, (0..20).collect::<Vec<_>>());
+        assert_eq!(sched.pending(), 0);
+    }
+
+    #[test]
+    fn single_bin_retain_re_runs() {
+        let mut sched = fifo();
+        sched.fork(record, 1, 0, Hints::none());
+        let mut log = Log::new();
+        sched.run(&mut log, RunMode::Retain);
+        sched.run(&mut log, RunMode::Consume);
+        assert_eq!(log, vec![(1, 0), (1, 0)]);
+    }
+
+    #[test]
+    fn unique_bin_random_tour_runs_all_threads_permuted() {
+        let mut sched = random(99);
+        for i in 0..100 {
+            sched.fork(record, i, 0, Hints::none());
+        }
+        let mut log = Log::new();
+        let stats = sched.run(&mut log, RunMode::Consume);
+        assert_eq!(stats.threads_run, 100);
+        let order: Vec<usize> = log.iter().map(|&(a, _)| a).collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
+        assert_ne!(
+            order, sorted,
+            "a 100-element shuffle is ordered w.p. 1/100!"
+        );
+    }
+
+    /// Execution orders captured from the pre-refactor random baseline
+    /// scheduler (which shuffled thread indices directly): `UniqueBin`
+    /// under a seeded random tour must reproduce them bit-identically.
+    #[test]
+    fn random_order_matches_pre_refactor_golden() {
+        #[rustfmt::skip]
+        let goldens: [(u64, usize, &[usize]); 6] = [
+            (7, 16, &[15, 12, 14, 6, 9, 3, 1, 5, 0, 8, 7, 10, 2, 4, 11, 13]),
+            (42, 16, &[3, 1, 10, 0, 9, 2, 13, 7, 6, 14, 5, 11, 4, 12, 8, 15]),
+            (99, 16, &[1, 7, 5, 0, 11, 10, 9, 12, 13, 6, 3, 14, 8, 2, 15, 4]),
+            (7, 33, &[8, 13, 16, 28, 23, 30, 7, 11, 25, 2, 9, 12, 4, 22, 18, 14, 10, 1, 29, 19, 5, 31, 0, 27, 15, 24, 3, 21, 32, 6, 17, 20, 26]),
+            (42, 33, &[5, 7, 19, 8, 10, 15, 6, 23, 3, 2, 24, 11, 30, 27, 31, 14, 13, 25, 0, 9, 12, 1, 22, 29, 20, 16, 28, 21, 26, 32, 18, 17, 4]),
+            (99, 33, &[31, 7, 20, 0, 28, 24, 13, 15, 32, 19, 16, 2, 17, 12, 11, 18, 23, 27, 9, 25, 4, 5, 8, 29, 26, 22, 14, 10, 30, 1, 3, 6, 21]),
+        ];
+        for (seed, n, golden) in goldens {
+            let mut sched = random(seed);
+            for i in 0..n {
+                sched.fork(record, i, 0, Hints::none());
+            }
+            let mut log = Log::new();
+            sched.run(&mut log, RunMode::Consume);
+            let order: Vec<usize> = log.iter().map(|&(a, _)| a).collect();
+            assert_eq!(order, golden, "seed={seed} n={n}");
+        }
     }
 
     /// The pre-refactor `Scheduler` run order on a dense pseudo-random
@@ -716,8 +777,8 @@ mod tests {
     fn hierarchical_policy_drains_subbins_within_parents() {
         // 1 KiB sub-bins inside 4 KiB parents. Forks touch two parents
         // (0x0000.. and 0x8000..), each with interleaved sub-blocks.
-        let policy = Hierarchical::uniform(1 << 10, 1 << 12, false).unwrap();
-        let mut sched: Scheduler<Log, Hierarchical> =
+        let policy = TopologyPolicy::uniform(&[1 << 10, 1 << 12], false).unwrap();
+        let mut sched: Scheduler<Log, TopologyPolicy> =
             Scheduler::with_policy(SchedulerConfig::default(), policy);
         let addrs: [u64; 8] = [
             0x0000, 0x8000, 0x0400, 0x8400, 0x0800, 0x8800, 0x0c00, 0x8c00,
@@ -784,8 +845,8 @@ mod tests {
 
     #[test]
     fn online_drain_matches_batch_run_hierarchical() {
-        let policy = Hierarchical::uniform(1 << 10, 1 << 12, false).unwrap();
-        let fork_all = |sched: &mut Scheduler<Log, Hierarchical>| {
+        let policy = TopologyPolicy::uniform(&[1 << 10, 1 << 12], false).unwrap();
+        let fork_all = |sched: &mut Scheduler<Log, TopologyPolicy>| {
             for i in 0..120usize {
                 let addr = (i as u64 * 0x2f1) % (1 << 16);
                 sched.fork(record, i, 0, Hints::one(Addr::new(addr)));
@@ -909,7 +970,6 @@ mod tests {
     /// the cap must bound it too.
     #[test]
     fn unique_bin_records_stay_bounded_under_cap() {
-        use crate::policy::UniqueBin;
         use crate::EvictionPolicy;
         let mut sched: Scheduler<Log, UniqueBin> = Scheduler::with_policy(
             eviction_config(EvictionPolicy::LruCap { max_records: 4 }),
@@ -957,9 +1017,7 @@ mod tests {
 
     #[test]
     fn online_drain_on_empty_is_none_and_fifo_policy_batches() {
-        use crate::policy::SingleBin;
-        let mut sched: Scheduler<Log, SingleBin> =
-            Scheduler::with_policy(SchedulerConfig::default(), SingleBin);
+        let mut sched = fifo();
         sched.enable_online();
         let mut log = Log::new();
         assert!(sched.drain_next(&mut log).is_none());
@@ -978,8 +1036,8 @@ mod tests {
 
     #[test]
     fn hierarchical_retain_re_runs_identically() {
-        let policy = Hierarchical::uniform(512, 4096, false).unwrap();
-        let mut sched: Scheduler<Log, Hierarchical> =
+        let policy = TopologyPolicy::uniform(&[512, 4096], false).unwrap();
+        let mut sched: Scheduler<Log, TopologyPolicy> =
             Scheduler::with_policy(SchedulerConfig::default(), policy);
         for i in 0..50 {
             sched.fork(

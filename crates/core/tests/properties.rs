@@ -1,8 +1,8 @@
 //! Property-based tests of the locality scheduler's invariants.
 
 use locality_sched::{
-    Addr, BinPolicy, FifoScheduler, Hierarchical, Hints, PaperBlockHash, RandomScheduler, RunMode,
-    Scheduler, SchedulerConfig, SingleBin, ThreadScheduler, TopologyPolicy, Tour,
+    Addr, BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, SingleBin,
+    TopologyPolicy, Tour, UniqueBin,
 };
 use proptest::prelude::*;
 
@@ -10,6 +10,20 @@ type Log = Vec<(usize, usize)>;
 
 fn record(log: &mut Log, a: usize, b: usize) {
     log.push((a, b));
+}
+
+/// Forks one `record` thread per hint into a scheduler under `policy`
+/// and returns the sorted thread ids it ran.
+fn ran_ids<P: BinPolicy>(config: SchedulerConfig, policy: P, hints: &[Hints]) -> Vec<usize> {
+    let mut sched: Scheduler<Log, P> = Scheduler::with_policy(config, policy);
+    for (i, h) in hints.iter().enumerate() {
+        sched.fork(record, i, 0, *h);
+    }
+    let mut log = Log::new();
+    sched.run(&mut log, RunMode::Consume);
+    let mut ids: Vec<usize> = log.iter().map(|&(a, _)| a).collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// Arbitrary hint tuples over a bounded address space.
@@ -213,34 +227,23 @@ proptest! {
         prop_assert_eq!(sched.bins(), if same_block { 1 } else { 2 });
     }
 
-    /// All scheduler policies run the same thread multiset.
+    /// The locality policy and both baselines (FIFO: `SingleBin`;
+    /// random: `UniqueBin` under a seeded random tour) run the same
+    /// thread multiset.
     #[test]
     fn baselines_run_the_same_threads(
         hints in prop::collection::vec(arb_hints(), 0..100),
         seed in any::<u64>(),
     ) {
-        let mut reference: Vec<usize> = (0..hints.len()).collect();
-        reference.sort_unstable();
-
-        let mut locality: Scheduler<Log> = Scheduler::with_defaults();
-        let mut fifo: FifoScheduler<Log> = FifoScheduler::new();
-        let mut random: RandomScheduler<Log> = RandomScheduler::new(seed);
-        for (i, h) in hints.iter().enumerate() {
-            ThreadScheduler::fork(&mut locality, record, i, 0, *h);
-            fifo.fork(record, i, 0, *h);
-            random.fork(record, i, 0, *h);
-        }
-        for sched in [
-            &mut locality as &mut dyn ThreadScheduler<Log>,
-            &mut fifo,
-            &mut random,
-        ] {
-            let mut log = Log::new();
-            sched.run(&mut log, RunMode::Consume);
-            let mut ids: Vec<usize> = log.iter().map(|&(a, _)| a).collect();
-            ids.sort_unstable();
-            prop_assert_eq!(&ids, &reference);
-        }
+        let reference: Vec<usize> = (0..hints.len()).collect();
+        let config = SchedulerConfig::default();
+        let random = SchedulerConfig::builder().tour(Tour::Random(seed)).build().unwrap();
+        prop_assert_eq!(
+            &ran_ids(config, PaperBlockHash::from_config(&config), &hints),
+            &reference
+        );
+        prop_assert_eq!(&ran_ids(config, SingleBin, &hints), &reference);
+        prop_assert_eq!(&ran_ids(random, UniqueBin::default(), &hints), &reference);
     }
 
     /// The parallel scheduler runs every thread exactly once for any
@@ -393,58 +396,11 @@ proptest! {
             other,
         );
         check(
-            Hierarchical::uniform(block >> sub_log2, block, true).unwrap(),
-            addrs,
-            other,
-        );
-        check(
             TopologyPolicy::uniform(&[block >> sub_log2, block], true).unwrap(),
             addrs,
             other,
         );
         check(SingleBin, addrs, other);
-    }
-
-    /// A two-rung [`TopologyPolicy`] ladder IS the two-level
-    /// [`Hierarchical`] policy: identical bin keys, identical ancestor
-    /// ladder, and an identical drain order under any configuration,
-    /// tour, and hint mixture. This is what licenses `Hierarchical` to
-    /// remain a thin alias for the depth-2 case.
-    #[test]
-    fn topology_depth2_matches_hierarchical(
-        config in arb_config(),
-        hints in prop::collection::vec(arb_hints(), 0..150),
-        sub_log2 in 3u32..10,
-        block_log2 in 10u32..24,
-        symmetric in any::<bool>(),
-    ) {
-        let (sub, block) = (1u64 << sub_log2, 1u64 << block_log2);
-        let mut hier = Hierarchical::uniform(sub, block, symmetric).unwrap();
-        let mut tree = TopologyPolicy::uniform(&[sub, block], symmetric).unwrap();
-        prop_assert_eq!(BinPolicy::depth(&hier), 2);
-        prop_assert_eq!(BinPolicy::depth(&tree), 2);
-        for h in &hints {
-            let key = hier.bin_key(*h);
-            prop_assert_eq!(key, tree.bin_key(*h));
-            for level in 0..2 {
-                prop_assert_eq!(
-                    hier.ancestor_key(key, level),
-                    tree.ancestor_key(key, level),
-                    "level {}", level
-                );
-            }
-        }
-        let mut a: Scheduler<Log, _> = Scheduler::with_policy(config, hier);
-        let mut b: Scheduler<Log, _> = Scheduler::with_policy(config, tree);
-        for (i, h) in hints.iter().enumerate() {
-            a.fork(record, i, 0, *h);
-            b.fork(record, i, 0, *h);
-        }
-        let mut log_a = Log::new();
-        let mut log_b = Log::new();
-        a.run(&mut log_a, RunMode::Consume);
-        b.run(&mut log_b, RunMode::Consume);
-        prop_assert_eq!(log_a, log_b, "drain order diverged");
     }
 
     /// [`PaperBlockHash`] computes exactly the pre-refactor hints→bin

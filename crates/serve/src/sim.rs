@@ -30,8 +30,8 @@ use crate::metrics::{percentile, ServeReport};
 use crate::trace::Request;
 use cachesim::{MachineModel, SimReport, SimSink};
 use locality_sched::{
-    BinPolicy, EvictionPolicy, Hierarchical, PaperBlockHash, RunMode, Scheduler, SchedulerConfig,
-    SingleBin, TopologyPolicy, UniqueBin,
+    BinPolicy, EvictionPolicy, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, SingleBin,
+    TopologyPolicy, UniqueBin,
 };
 use memtrace::{Access, TraceSink};
 use std::collections::VecDeque;
@@ -141,13 +141,14 @@ impl ServeConfig {
     }
 }
 
-/// The bin policies the serving experiment compares. Mirrors
-/// `BENCH_binpolicy` naming: `flat` is the paper's block-hash.
+/// The bin policies the serving experiment compares. Mirrors the
+/// `BENCH_topology` row naming: `flat` is the paper's block-hash.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServePolicy {
     /// Single-level block hash at the L2 block size.
     Flat,
-    /// Two-level L1-in-L2 binning.
+    /// Two-level L1-in-L2 binning: the first two rungs of the
+    /// topology ladder.
     Hierarchical,
     /// Binning at every level of the machine's topology tree (equal to
     /// `Hierarchical` on two-level machines, deeper on NUMA models).
@@ -383,10 +384,25 @@ fn serve_ladder(machine: &MachineModel) -> Result<Vec<u64>, ServeError> {
 
 /// The ladder's two finest rungs: the L1/L2 blocks the flat and
 /// two-level policies bin at.
+fn finest_rungs(ladder: &[u64]) -> (u64, u64) {
+    (ladder[0], ladder[ladder.len().min(2) - 1])
+}
+
 #[cfg(test)]
 fn serve_blocks(machine: &MachineModel) -> Result<(u64, u64), ServeError> {
-    let ladder = serve_ladder(machine)?;
-    Ok((ladder[0], ladder[ladder.len().min(2) - 1]))
+    Ok(finest_rungs(&serve_ladder(machine)?))
+}
+
+/// The nested policy for `policy` over `ladder`: the two finest rungs
+/// for [`ServePolicy::Hierarchical`], every rung for
+/// [`ServePolicy::Topology`].
+fn nested_policy(ladder: &[u64], policy: ServePolicy) -> TopologyPolicy {
+    let (l1_block, l2_block) = finest_rungs(ladder);
+    let blocks = match policy {
+        ServePolicy::Hierarchical => &[l1_block, l2_block][..],
+        _ => ladder,
+    };
+    TopologyPolicy::uniform(blocks, false).expect("separated powers of two are valid")
 }
 
 fn prev_power_of_two(value: u64) -> u64 {
@@ -412,7 +428,7 @@ pub fn run_serve<I: Iterator<Item = Request>>(
     policy: ServePolicy,
 ) -> Result<ServeOutcome, ServeError> {
     let ladder = serve_ladder(machine)?;
-    let (l1_block, l2_block) = (ladder[0], ladder[ladder.len().min(2) - 1]);
+    let (_, l2_block) = finest_rungs(&ladder);
     let sched_config = SchedulerConfig::builder()
         .block_size(l2_block)
         .eviction(config.eviction)
@@ -427,22 +443,13 @@ pub fn run_serve<I: Iterator<Item = Request>>(
             sched_config,
             PaperBlockHash::from_config(&sched_config),
         ),
-        ServePolicy::Hierarchical => run_serve_with(
+        ServePolicy::Hierarchical | ServePolicy::Topology => run_serve_with(
             trace,
             machine,
             config,
             policy,
             sched_config,
-            Hierarchical::uniform(l1_block, l2_block, false)
-                .expect("separated powers of two are valid"),
-        ),
-        ServePolicy::Topology => run_serve_with(
-            trace,
-            machine,
-            config,
-            policy,
-            sched_config,
-            TopologyPolicy::uniform(&ladder, false).expect("separated powers of two are valid"),
+            nested_policy(&ladder, policy),
         ),
         ServePolicy::SingleBin => {
             run_serve_with(trace, machine, config, policy, sched_config, SingleBin)
@@ -750,7 +757,7 @@ pub fn run_offline<I: Iterator<Item = Request>>(
     policy: ServePolicy,
 ) -> Result<Vec<ExecRecord>, ServeError> {
     let ladder = serve_ladder(machine)?;
-    let (l1_block, l2_block) = (ladder[0], ladder[ladder.len().min(2) - 1]);
+    let (_, l2_block) = finest_rungs(&ladder);
     let sched_config = SchedulerConfig::builder()
         .block_size(l2_block)
         .build()
@@ -762,19 +769,9 @@ pub fn run_offline<I: Iterator<Item = Request>>(
             sched_config,
             PaperBlockHash::from_config(&sched_config),
         ),
-        ServePolicy::Hierarchical => run_offline_with(
-            trace,
-            machine,
-            sched_config,
-            Hierarchical::uniform(l1_block, l2_block, false)
-                .expect("separated powers of two are valid"),
-        ),
-        ServePolicy::Topology => run_offline_with(
-            trace,
-            machine,
-            sched_config,
-            TopologyPolicy::uniform(&ladder, false).expect("separated powers of two are valid"),
-        ),
+        ServePolicy::Hierarchical | ServePolicy::Topology => {
+            run_offline_with(trace, machine, sched_config, nested_policy(&ladder, policy))
+        }
         ServePolicy::SingleBin => run_offline_with(trace, machine, sched_config, SingleBin),
         ServePolicy::UniqueBin => {
             run_offline_with(trace, machine, sched_config, UniqueBin::default())

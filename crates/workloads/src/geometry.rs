@@ -24,7 +24,7 @@
 //! inside their parents at every depth.
 
 use cachesim::{MachineModel, MAX_TOPOLOGY_LEVELS};
-use locality_sched::{ConfigError, Hierarchical, SchedulerConfig, TopologyPolicy};
+use locality_sched::{ConfigError, SchedulerConfig, TopologyPolicy};
 
 /// The four threaded kernels whose bin sizes derive from the machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -232,8 +232,8 @@ impl BinGeometry {
     /// The hierarchical (L1-in-L2) policy for `kernel`: L1-sized
     /// sub-bins nested in L2-sized bins — the first two rungs of the
     /// ladder, whatever the machine's full depth.
-    pub fn hierarchical(&self, kernel: Kernel) -> Result<Hierarchical, ConfigError> {
-        Hierarchical::uniform(self.l1_block(kernel), self.l2_block(kernel), false)
+    pub fn hierarchical(&self, kernel: Kernel) -> Result<TopologyPolicy, ConfigError> {
+        TopologyPolicy::uniform(&[self.l1_block(kernel), self.l2_block(kernel)], false)
     }
 
     /// The full-depth topology policy for `kernel`: one nesting level
@@ -324,7 +324,7 @@ mod tests {
         let g = r8000_like();
         for k in [Kernel::MatMul, Kernel::Pde, Kernel::Sor, Kernel::NBody] {
             let policy = g.hierarchical(k).expect("valid geometry");
-            assert!(!format!("{policy:?}").is_empty());
+            assert_eq!(locality_sched::BinPolicy::depth(&policy), 2, "{k:?}");
         }
     }
 

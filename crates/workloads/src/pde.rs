@@ -250,7 +250,7 @@ pub fn threaded<S: TraceSink>(
 /// ordering constraint carries over: a policy is only correct here if,
 /// combined with the allocation-order tour, it drains threads in
 /// ascending line order (true for the flat paper policy and for
-/// [`Hierarchical`](locality_sched::Hierarchical) nesting, both of
+/// [`TopologyPolicy`](locality_sched::TopologyPolicy) nesting, both of
 /// which are monotone in the single line-address hint).
 pub fn threaded_with<S: TraceSink, P: BinPolicy>(
     data: &mut PdeData,

@@ -14,8 +14,8 @@
 
 use std::cell::UnsafeCell;
 use thread_locality::sched::{
-    FifoScheduler, Hints, ParScheduler, RandomScheduler, RunMode, Scheduler, SchedulerConfig,
-    StealPolicy, ThreadScheduler,
+    BinPolicy, Hints, ParScheduler, RunMode, Scheduler, SchedulerConfig, SingleBin, StealPolicy,
+    Tour, UniqueBin,
 };
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -383,10 +383,11 @@ fn nbody_parallel_matches_sequential_bitwise() {
 }
 
 // ---------------------------------------------------------------------
-// Baseline schedulers: FIFO and seeded-random are engine configurations
-// too (SingleBin + allocation order; UniqueBin + random tour), so on
-// these order-independent kernels their results must be bit-identical
-// to the locality schedule — any drain order computes the same bits.
+// Baseline schedules: FIFO and seeded-random are scheduler
+// configurations too (SingleBin + allocation order; UniqueBin + random
+// tour), so on these order-independent kernels their results must be
+// bit-identical to the locality schedule — any drain order computes the
+// same bits.
 // ---------------------------------------------------------------------
 
 /// Seeds for the random baseline; the exact per-seed orders are pinned
@@ -394,7 +395,22 @@ fn nbody_parallel_matches_sequential_bitwise() {
 /// `random_order_matches_pre_refactor_golden`.
 const RANDOM_SEEDS: [u64; 3] = [7, 42, 99];
 
-fn mm_baseline<S: ThreadScheduler<SeqMat>>(sched: &mut S) -> (Vec<f64>, u64) {
+/// The FIFO baseline: one bin, drained in fork order.
+fn fifo_sched<C>() -> Scheduler<C, SingleBin> {
+    Scheduler::with_policy(SchedulerConfig::default(), SingleBin)
+}
+
+/// The random baseline: one bin per thread, visited in a seeded
+/// shuffle.
+fn random_sched<C>(seed: u64) -> Scheduler<C, UniqueBin> {
+    let config = SchedulerConfig::builder()
+        .tour(Tour::Random(seed))
+        .build()
+        .expect("valid config");
+    Scheduler::with_policy(config, UniqueBin::default())
+}
+
+fn mm_baseline<P: BinPolicy>(sched: &mut Scheduler<SeqMat, P>) -> (Vec<f64>, u64) {
     for i in 0..MM_N {
         for j in 0..MM_N {
             sched.fork(mm_seq_body, i, j, mm_hints(i, j));
@@ -409,7 +425,7 @@ fn mm_baseline<S: ThreadScheduler<SeqMat>>(sched: &mut S) -> (Vec<f64>, u64) {
     (ctx.c, stats.threads_run)
 }
 
-fn sor_baseline<S: ThreadScheduler<SeqSor>>(mut make: impl FnMut() -> S) -> (Vec<f64>, u64) {
+fn sor_baseline<P: BinPolicy>(mut make: impl FnMut() -> Scheduler<SeqSor, P>) -> (Vec<f64>, u64) {
     let mut grid = noise(3, SOR_N * SOR_N);
     let mut threads = 0;
     for _ in 0..SOR_SWEEPS {
@@ -427,7 +443,7 @@ fn sor_baseline<S: ThreadScheduler<SeqSor>>(mut make: impl FnMut() -> S) -> (Vec
     (grid, threads)
 }
 
-fn nb_baseline<S: ThreadScheduler<SeqNb>>(sched: &mut S) -> (Vec<f64>, u64) {
+fn nb_baseline<P: BinPolicy>(sched: &mut Scheduler<SeqNb, P>) -> (Vec<f64>, u64) {
     for i in 0..NB_N {
         sched.fork(nb_seq_body, i, 0, nb_hints(i));
     }
@@ -443,17 +459,17 @@ fn nb_baseline<S: ThreadScheduler<SeqNb>>(sched: &mut S) -> (Vec<f64>, u64) {
 fn fifo_scheduler_matches_sequential_bitwise() {
     let fifo_policy = StealPolicy::None; // label only; baselines don't steal
     let (seq, seq_threads) = mm_sequential();
-    let (fifo, fifo_threads) = mm_baseline(&mut FifoScheduler::new());
+    let (fifo, fifo_threads) = mm_baseline(&mut fifo_sched());
     assert_eq!(fifo_threads, seq_threads);
     assert_bits_eq("matmul/fifo", &seq, &fifo, fifo_policy, 1);
 
     let (seq, seq_threads) = sor_sequential();
-    let (fifo, fifo_threads) = sor_baseline(FifoScheduler::new);
+    let (fifo, fifo_threads) = sor_baseline(fifo_sched);
     assert_eq!(fifo_threads, seq_threads);
     assert_bits_eq("sor/fifo", &seq, &fifo, fifo_policy, 1);
 
     let (seq, seq_threads) = nb_sequential();
-    let (fifo, fifo_threads) = nb_baseline(&mut FifoScheduler::new());
+    let (fifo, fifo_threads) = nb_baseline(&mut fifo_sched());
     assert_eq!(fifo_threads, seq_threads);
     assert_bits_eq("nbody/fifo", &seq, &fifo, fifo_policy, 1);
 }
@@ -465,15 +481,15 @@ fn random_scheduler_matches_sequential_bitwise() {
     let (sor_seq, sor_threads) = sor_sequential();
     let (nb_seq, nb_threads) = nb_sequential();
     for seed in RANDOM_SEEDS {
-        let (random, threads) = mm_baseline(&mut RandomScheduler::new(seed));
+        let (random, threads) = mm_baseline(&mut random_sched(seed));
         assert_eq!(threads, mm_threads, "seed {seed}");
         assert_bits_eq("matmul/random", &mm_seq, &random, label, 1);
 
-        let (random, threads) = sor_baseline(|| RandomScheduler::new(seed));
+        let (random, threads) = sor_baseline(|| random_sched(seed));
         assert_eq!(threads, sor_threads, "seed {seed}");
         assert_bits_eq("sor/random", &sor_seq, &random, label, 1);
 
-        let (random, threads) = nb_baseline(&mut RandomScheduler::new(seed));
+        let (random, threads) = nb_baseline(&mut random_sched(seed));
         assert_eq!(threads, nb_threads, "seed {seed}");
         assert_bits_eq("nbody/random", &nb_seq, &random, label, 1);
     }
