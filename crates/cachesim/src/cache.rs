@@ -366,6 +366,51 @@ impl Cache {
         true
     }
 
+    /// One read of `line` inside a run of reads to consecutive lines of
+    /// a direct-mapped cache: exactly the fast-path
+    /// [`access_line`](Cache::access_line)`(line, false)` except for the
+    /// tick, the read count, the MRU-hit count and the LRU stamp, which
+    /// [`end_direct_run`](Cache::end_direct_run) settles once for the
+    /// whole run. The stamps can be skipped outright: with one way the
+    /// victim scan has a single candidate and never compares them.
+    #[inline]
+    pub(crate) fn read_line_direct(&mut self, line: u64) -> LineOutcome {
+        debug_assert!(self.assoc == 1 && self.fast_path);
+        let way = (line & self.set_mask) as usize;
+        if self.lines[way] == line {
+            return LineOutcome {
+                hit: true,
+                writeback: None,
+            };
+        }
+        self.stats.read_misses += 1;
+        let writeback = if self.dirty[way] && self.lines[way] != INVALID {
+            self.stats.writebacks += 1;
+            Some(self.lines[way])
+        } else {
+            None
+        };
+        self.lines[way] = line;
+        self.dirty[way] = false;
+        LineOutcome {
+            hit: false,
+            writeback,
+        }
+    }
+
+    /// Settles a run of `reads` [`read_line_direct`](Cache::read_line_direct)
+    /// calls, `hits` of which hit, ending at `last`: the state
+    /// `reads` fast-path `access_line` reads would have left, stamps
+    /// aside.
+    #[inline]
+    pub(crate) fn end_direct_run(&mut self, last: u64, reads: u64, hits: u64) {
+        self.tick += reads;
+        self.stats.reads += reads;
+        self.obs.mru_hits.add(hits);
+        self.last_line = last;
+        self.last_way = (last & self.set_mask) as u32;
+    }
+
     /// Flushes this level's probe observations into a profile section:
     /// always-on hit/miss totals plus which fast path served the hits.
     /// Cumulative since construction; all-zero when the probe layer is

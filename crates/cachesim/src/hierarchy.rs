@@ -43,6 +43,15 @@ pub(crate) struct LlcEvent {
     pub hit: bool,
 }
 
+/// L1 demand fetches of a [`Hierarchy::read_lines`] run that have not
+/// reached the L2 yet: `rehits` more reads of `line`, the L2 line the
+/// L2's previous reference read.
+#[derive(Clone, Copy, Debug, Default)]
+struct FetchRun {
+    line: Option<u64>,
+    rehits: u64,
+}
+
 /// Geometry of a two-level hierarchy: a (split) L1 data cache backed by
 /// a unified L2.
 ///
@@ -275,6 +284,98 @@ impl Hierarchy {
             }
             line += 1;
         }
+    }
+
+    /// Reads `count` consecutive L1 lines: exactly `count` calls of
+    /// [`access`](Self::access)`(Access::read(addr + k·l1_line, size))`
+    /// for `k` in `0..count` (addresses wrap), in one call.
+    ///
+    /// The per-line path runs when the fast path is off, the L1 is
+    /// set-associative, an MMU is attached, classification is deferred,
+    /// the reads would straddle an L1 line or the run would wrap.
+    /// Otherwise the first line takes the same-line rehit as `access`
+    /// would, the direct-mapped L1 walks the rest touching only tags and
+    /// dirty bits (its LRU stamps are unobservable with one way), and
+    /// the L1 misses reach the L2 in program order with every fetch
+    /// that follows one to the same L2 line folded into one bulk rehit.
+    pub(crate) fn read_lines(&mut self, addr: Addr, size: u32, count: u64) {
+        if count == 0 {
+            return;
+        }
+        let start = addr.raw();
+        let span = u64::from(size.max(1)) - 1;
+        let straddles = (start & (self.l1_line - 1)) + span >= self.l1_line;
+        let wraps = (count - 1)
+            .checked_mul(self.l1_line)
+            .and_then(|offset| start.checked_add(offset))
+            .is_none();
+        if !self.fast_path()
+            || self.l1d.config().assoc() != 1
+            || self.mmu.is_some()
+            || self.llc_log.is_some()
+            || straddles
+            || wraps
+        {
+            let mut addr = start;
+            for _ in 0..count {
+                self.access(Access::read(Addr::new(addr), size));
+                addr = addr.wrapping_add(self.l1_line);
+            }
+            return;
+        }
+        let first = start >> self.l1_shift;
+        let end = first + count;
+        let begin = first + u64::from(self.l1d.try_rehit(first, false));
+        let mut fetches = FetchRun::default();
+        let mut hits = 0;
+        for line in begin..end {
+            let outcome = self.l1d.read_line_direct(line);
+            if outcome.hit {
+                hits += 1;
+            } else {
+                self.run_miss(line, outcome.writeback, &mut fetches);
+            }
+        }
+        if end > begin {
+            self.l1d.end_direct_run(end - 1, end - begin, hits);
+        }
+        self.flush_fetches(&mut fetches);
+    }
+
+    /// The L2 traffic of an L1 read miss inside
+    /// [`read_lines`](Self::read_lines): the demand fetch joins
+    /// `fetches` when it is to the L2 line the previous L2 reference
+    /// read, and a dirty victim's write-back flushes the pending
+    /// fetches first so the L2 sees program order.
+    #[inline]
+    fn run_miss(&mut self, l1_line: u64, writeback: Option<u64>, fetches: &mut FetchRun) {
+        let l2_line = self.l2_line_of(l1_line);
+        if fetches.line == Some(l2_line) {
+            fetches.rehits += 1;
+        } else {
+            self.flush_fetches(fetches);
+            self.reference_l2(l2_line, false);
+            fetches.line = Some(l2_line);
+        }
+        if let Some(victim) = writeback {
+            self.flush_fetches(fetches);
+            let l2_line = self.l2_line_of(victim);
+            self.reference_l2(l2_line, true);
+            fetches.line = None;
+        }
+    }
+
+    /// Sends the pending same-line fetches to the L2. Each would have
+    /// been a same-line rehit there (the previous L2 reference read
+    /// that line), so they go down as one bulk rehit.
+    fn flush_fetches(&mut self, fetches: &mut FetchRun) {
+        let rehits = std::mem::take(&mut fetches.rehits);
+        if rehits == 0 {
+            return;
+        }
+        let line = fetches.line.expect("pending fetches have a line");
+        let rehit = self.l2.rehit_many(line, rehits, 0);
+        assert!(rehit, "the previous L2 reference read line {line}");
     }
 
     /// Switches deferred classification on or off. While on, the

@@ -1,7 +1,7 @@
 //! Online simulation as a trace sink.
 
 use crate::{Hierarchy, SimReport};
-use memtrace::{Access, AccessKind, TraceSink};
+use memtrace::{Access, AccessKind, Addr, TraceSink};
 
 /// A [`TraceSink`] that drives a cache [`Hierarchy`] online.
 ///
@@ -64,6 +64,17 @@ impl SimSink {
     /// The underlying hierarchy (e.g. for mid-run inspection).
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hierarchy
+    }
+
+    /// Reads `count` consecutive L1 lines in one call: exactly `count`
+    /// calls of `access(Access::read(addr + k·l1_line, size))` for `k`
+    /// in `0..count`, addresses wrapping. Runs that do not straddle an
+    /// L1 line skip the per-line work whose result is known in advance
+    /// (DESIGN.md §3.3.1, "Line runs").
+    #[inline]
+    pub fn read_lines(&mut self, addr: Addr, size: u32, count: u64) {
+        self.reads += count;
+        self.hierarchy.read_lines(addr, size, count);
     }
 
     /// Zeroes all counters and cache statistics while keeping cache
@@ -147,7 +158,6 @@ impl TraceSink for SimSink {
 mod tests {
     use super::*;
     use crate::MachineModel;
-    use memtrace::Addr;
 
     #[test]
     fn counts_match_hierarchy() {

@@ -7,17 +7,20 @@
 //! inline methods, so instrumentation sites cost nothing.
 
 /// Number of log₂ buckets: values up to 2⁶³ land in a bucket.
+#[cfg(feature = "enabled")]
 const BUCKETS: usize = 64;
 
 /// Bucket index of `value`: 0 for 0, else `floor(log2(value)) + 1`,
 /// clamped to the last bucket. Bucket `i > 0` covers
 /// `[2^(i-1), 2^i - 1]`.
+#[cfg(feature = "enabled")]
 #[inline]
 fn bucket_of(value: u64) -> usize {
     (64 - value.leading_zeros() as usize).min(BUCKETS - 1)
 }
 
 /// Upper bound (inclusive) of bucket `i`.
+#[cfg(feature = "enabled")]
 #[inline]
 fn bucket_upper(i: usize) -> u64 {
     if i == 0 {
@@ -399,6 +402,7 @@ pub use imp::{Counter, Histogram, LocalCounter, Span};
 mod tests {
     use super::*;
 
+    #[cfg(feature = "enabled")]
     #[test]
     fn bucket_bounds_partition_the_range() {
         assert_eq!(bucket_of(0), 0);

@@ -33,7 +33,7 @@ use locality_sched::{
     BinPolicy, EvictionPolicy, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, SingleBin,
     TopologyPolicy, UniqueBin,
 };
-use memtrace::{Access, TraceSink};
+use memtrace::TraceSink;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -302,10 +302,10 @@ impl ExecCtx {
     }
 }
 
-/// The scheduled thread body: scan the request's payload one L1 line
-/// at a time and account instructions, recording the miss delta. A
-/// slot shed while queued is a tombstone — no cache traffic, no
-/// record; the slot is simply retired.
+/// The scheduled thread body: scan the request's payload, one 8-byte
+/// read per L1 line, and account instructions, recording the miss
+/// delta. A slot shed while queued is a tombstone — no cache traffic,
+/// no record; the slot is simply retired.
 fn serve_thread(ctx: &mut ExecCtx, slot: usize, _arg2: usize) {
     let req = ctx.requests[slot];
     match req.state {
@@ -318,14 +318,9 @@ fn serve_thread(ctx: &mut ExecCtx, slot: usize, _arg2: usize) {
     }
     let l1_before = ctx.sink.hierarchy().l1_stats().misses();
     let l2_before = ctx.sink.hierarchy().l2_stats().misses();
-    let mut lines = 0u64;
-    let mut addr = req.addr;
     let end = req.addr.saturating_add(req.bytes);
-    while addr < end {
-        ctx.sink.access(Access::read(memtrace::Addr::new(addr), 8));
-        addr += ctx.l1_line;
-        lines += 1;
-    }
+    let lines = scan_lines(req.addr, req.bytes, ctx.l1_line);
+    ctx.sink.read_lines(memtrace::Addr::new(req.addr), 8, lines);
     ctx.sink
         .instructions(REQUEST_BASE_INSTRUCTIONS + INSTRUCTIONS_PER_LINE * lines);
     let l2_lines = if req.bytes == 0 {
@@ -344,6 +339,13 @@ fn serve_thread(ctx: &mut ExecCtx, slot: usize, _arg2: usize) {
     ctx.in_queue -= 1;
     ctx.requests[slot].state = PendingState::Done;
     ctx.free_slots.push(slot);
+}
+
+/// L1 lines a payload scan reads: one per `l1_line` stride from `addr`
+/// up to the end of its `bytes`, the end saturating at the top of the
+/// address space.
+fn scan_lines(addr: u64, bytes: u64, l1_line: u64) -> u64 {
+    (addr.saturating_add(bytes) - addr).div_ceil(l1_line)
 }
 
 /// Serving bin geometry for `machine`: one block per level of its
@@ -803,6 +805,7 @@ where
 mod tests {
     use super::*;
     use crate::trace::{TraceConfig, TraceGen};
+    use memtrace::{Access, Addr};
 
     fn tiny_trace(requests: u64) -> TraceGen {
         TraceGen::new(TraceConfig {
@@ -848,6 +851,105 @@ mod tests {
         assert_eq!(out.report.evictions, 0);
         assert!(out.report.peak_live_bin_records > 0);
         assert_eq!(out.report.wasted_memory_time, 0);
+    }
+
+    /// The payload scan `serve_thread` ran before it read whole runs:
+    /// `read` once per L1 line, the stride's overflow past a saturated
+    /// end made explicit. Returns the lines read.
+    fn per_line_scan(addr: u64, bytes: u64, l1_line: u64, mut read: impl FnMut(u64)) -> u64 {
+        let (end, mut addr, mut lines) = (addr.saturating_add(bytes), addr, 0u64);
+        while addr < end {
+            read(addr);
+            lines += 1;
+            match addr.checked_add(l1_line) {
+                Some(next) => addr = next,
+                None => break,
+            }
+        }
+        lines
+    }
+
+    #[test]
+    fn scan_lines_counts_the_per_line_loop() {
+        let check = |addr: u64, bytes: u64, l1_line: u64| {
+            assert_eq!(
+                scan_lines(addr, bytes, l1_line),
+                per_line_scan(addr, bytes, l1_line, |_| {}),
+                "addr {addr:#x}, {bytes} bytes, {l1_line}-byte lines"
+            );
+        };
+        for l1_line in [32u64, 64] {
+            for addr in [0u64, 5, 31, 32, 0x1_0000 + 17] {
+                for bytes in [0u64, 1, 7, 31, 32, 33, 300, 4096, 8199] {
+                    check(addr, bytes, l1_line);
+                }
+            }
+            // Ends that saturate at the top of the address space.
+            for addr in [u64::MAX - 100, u64::MAX - 1, u64::MAX] {
+                for bytes in [0u64, 1, 100, 1000, u64::MAX] {
+                    check(addr, bytes, l1_line);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn line_runs_serve_exactly_like_the_per_line_scan() {
+        // Zero-byte probes, payloads starting mid-line and ending
+        // mid-line, and repeats that find their lines warm.
+        let shapes = [
+            (0x1_0000u64, 4096u64),
+            (0x1_0000 + 5, 300),
+            (0x2_0000 + 31, 0),
+            (0x2_0000 + 17, 33),
+            (0x4_0000 + 120, 8192 + 7),
+            (0x8_0000, 1),
+            (0x1_0000 + 5, 300),
+            (0x4_0000 + 120, 8192 + 7),
+        ];
+        let trace: Vec<Request> = (0..64u64)
+            .map(|id| {
+                let (addr, bytes) = shapes[(id * 5 % 8) as usize];
+                Request {
+                    id,
+                    arrival_ns: id * 700,
+                    object: addr >> 16,
+                    addr,
+                    bytes,
+                }
+            })
+            .collect();
+        let config = legacy_config(2, u64::MAX, true);
+        for machine in [MachineModel::r8000(), MachineModel::r10000()] {
+            let name = machine.name();
+            let out =
+                run_serve(trace.iter().copied(), &machine, &config, ServePolicy::Flat).unwrap();
+            assert_eq!(out.log.len(), 64);
+            assert!(out.log.iter().any(|r| r.lines == 0));
+            assert!(out.log.iter().any(|r| r.l1_misses < r.lines));
+            // Replay the served scans in execution order through the
+            // per-line loop: every record must match it, so the
+            // `ServeReport` built from the records matches too.
+            let mut sink = SimSink::new(machine.hierarchy());
+            for record in &out.log {
+                let req = trace[record.id as usize];
+                let l1_before = sink.hierarchy().l1_stats().misses();
+                let l2_before = sink.hierarchy().l2_stats().misses();
+                let lines = per_line_scan(req.addr, req.bytes, machine.l1_line(), |addr| {
+                    sink.access(Access::read(Addr::new(addr), 8));
+                });
+                sink.instructions(REQUEST_BASE_INSTRUCTIONS + INSTRUCTIONS_PER_LINE * lines);
+                let expected = ExecRecord {
+                    id: req.id,
+                    l1_misses: sink.hierarchy().l1_stats().misses() - l1_before,
+                    l2_misses: sink.hierarchy().l2_stats().misses() - l2_before,
+                    lines,
+                    l2_lines: record.l2_lines,
+                };
+                assert_eq!(*record, expected, "{name}");
+            }
+            assert_eq!(out.sim, sink.report(), "{name}");
+        }
     }
 
     #[test]

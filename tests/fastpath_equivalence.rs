@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use thread_locality::apps::{matmul, nbody, pde, sor};
 use thread_locality::sim::{
     CacheConfig, Hierarchy, HierarchyConfig, MachineModel, Mmu, PageMapper, PagePolicy, ShardPlan,
-    ShardedSimSink, SimReport, SimSink,
+    ShardedSimSink, SimReport, SimSink, WritePolicy,
 };
 use thread_locality::trace::{Access, AccessKind, Addr, AddressSpace, TraceSink, VecSink};
 
@@ -357,5 +357,120 @@ fn batched_delivery_equals_element_wise_on_a_real_trace() {
             sim.access_batch(chunk);
         }
         assert_eq!(sim.finish(), element_wise, "chunk size {chunk_size}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Line runs ≡ per-line reads: `SimSink::read_lines(addr, size, count)`
+// must leave every report field, the conservation check and the probe
+// profile exactly as `count` reads of `size` bytes one L1 line apart.
+// ---------------------------------------------------------------------
+
+/// The hierarchy shapes the run entry must match the per-line loop on,
+/// with whether the fast paths are on: the R8000's direct-mapped L1,
+/// scaled and at full size (the serving machine), the R10000's 2-way L1
+/// (per-line fallback), three levels, an MMU (per-line fallback), a
+/// write-through L1, and the fast paths off (per-line fallback).
+fn run_shapes() -> Vec<(&'static str, Hierarchy, bool)> {
+    let r8000 = machine();
+    let r10000 = MachineModel::r10000()
+        .scaled_split(1.0 / 16.0, 1.0 / 64.0)
+        .expect("valid scaled machine");
+    let mut write_through = r8000.hierarchy_config();
+    write_through.l1d = write_through
+        .l1d
+        .with_write_policy(WritePolicy::WriteThroughNoAllocate);
+    let three = HierarchyConfig::new3(
+        CacheConfig::new(1 << 10, 32, 1).unwrap(),
+        CacheConfig::new(4 << 10, 64, 2).unwrap(),
+        CacheConfig::new(16 << 10, 128, 4).unwrap(),
+    );
+    let mmu = Mmu::new(PageMapper::new(PagePolicy::RandomSeeded(7), 4096), 8);
+    vec![
+        ("r8000", r8000.hierarchy(), true),
+        ("r8000-full", MachineModel::r8000().hierarchy(), true),
+        ("r10000", r10000.hierarchy(), true),
+        ("new3", Hierarchy::new(three), true),
+        (
+            "mmu",
+            Hierarchy::with_mmu(r8000.hierarchy_config(), mmu),
+            true,
+        ),
+        ("write-through", Hierarchy::new(write_through), true),
+        ("slow", r8000.hierarchy(), false),
+    ]
+}
+
+/// One step of a mixed stream: `count` reads one L1 line apart, or a
+/// single access.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Run { addr: u64, size: u32, count: u64 },
+    One(Access),
+}
+
+proptest! {
+    /// Runs mixed with single reads and writes (whose dirty victims
+    /// interrupt the L2 fetch runs), starting at any offset — line
+    /// straddling and address-space wrapping included — with `count`
+    /// from 0 to 3× the L1 sets and `size` from 1 to the L1 line, and
+    /// serving scans: 4 KiB objects from a set of eight, read 8 bytes
+    /// per L1 line, so repeats meet warm L1 and L2 lines.
+    #[test]
+    fn line_runs_equal_per_line_reads(
+        raw in prop::collection::vec(
+            (0u8..7, 0u64..(1 << 18), 1u32..=128, 0u64..=4096),
+            1..48,
+        ),
+    ) {
+        for (shape, hierarchy, fast) in run_shapes() {
+            let config = hierarchy.config();
+            let l1_line = config.l1d.line();
+            let max_count = 3 * config.l1d.sets();
+            let steps: Vec<Step> = raw
+                .iter()
+                .map(|&(kind, addr, size, count)| {
+                    let size = 1 + (size - 1) % l1_line as u32;
+                    let count = count % (max_count + 1);
+                    match kind {
+                        0..=2 => Step::Run { addr, size, count },
+                        3 => Step::One(Access::read(Addr::new(addr), size)),
+                        4 => Step::One(Access::write(Addr::new(addr), size)),
+                        5 => Step::Run {
+                            addr: addr % 8 * 4096 + 8,
+                            size: 8,
+                            count: 4096 / l1_line,
+                        },
+                        // The page mapper's frame space ends far below
+                        // the top of the address space.
+                        _ if shape == "mmu" => Step::Run { addr, size, count },
+                        _ => Step::Run { addr: u64::MAX - addr % 4096, size, count },
+                    }
+                })
+                .collect();
+            let mut runs = SimSink::new(hierarchy.clone());
+            let mut lines = SimSink::new(hierarchy);
+            runs.set_fast_path(fast);
+            lines.set_fast_path(fast);
+            for &step in &steps {
+                match step {
+                    Step::Run { addr, size, count } => {
+                        runs.read_lines(Addr::new(addr), size, count);
+                        for k in 0..count {
+                            let addr = addr.wrapping_add(k * l1_line);
+                            lines.access(Access::read(Addr::new(addr), size));
+                        }
+                    }
+                    Step::One(access) => {
+                        runs.access(access);
+                        lines.access(access);
+                    }
+                }
+            }
+            prop_assert_eq!(runs.run_profile(), lines.run_profile(), "{}", shape);
+            let (runs, lines) = (runs.finish(), lines.finish());
+            prop_assert_eq!(runs, lines, "{}", shape);
+            prop_assert_eq!(runs.check(), Ok(()), "{}", shape);
+        }
     }
 }
